@@ -1,25 +1,18 @@
 #pragma once
 
-// Crash-safe sweep checkpoint journal.
+// Crash-safe sweep checkpoint journal: an append-only row log that
+// survives kill -9 at any byte. Every finished task's rows are appended and
+// made durable before the task counts as done, so a re-opened journal
+// resumes the sweep from the last durable row and the combined result set
+// is bit-identical to an uninterrupted run. A complete journal is also the
+// sweep's memo: a rerun restores every row and computes nothing.
 //
-// The memo cache (harness.hpp) stores only *finished, clean, full-grid*
-// sweeps; the journal is its complement for the failure path: an append-only
-// row log that survives kill -9 at any byte. Every finished task's rows are
-// appended, checksummed and fsync'd before the task counts as done, so a
-// re-opened journal resumes the sweep from the last durable row and the
-// combined result set is bit-identical to an uninterrupted run.
-//
-// Durability discipline:
-//  - the header (version + grid + selection fingerprints, plus the shard
-//    slice for sharded sweeps) is written and fsync'd — file and parent
-//    directory — when the journal is created;
-//  - appends go through fwrite + fflush + fsync before returning;
-//  - every row carries a trailing FNV-1a checksum; a torn tail (partial
-//    last record after a crash mid-append) fails its checksum and is
-//    truncated away on open, never trusted;
-//  - a header that does not match the current grid/selection/shard
-//    fingerprints resets the journal (stale checkpoints are worthless, not
-//    dangerous).
+// The file format, fsync discipline and torn-tail recovery are
+// support::RecordLog's. The journal adds its header (version + grid +
+// selection fingerprints, plus the shard slice for sharded sweeps; any
+// mismatch resets the journal), its row codec, and its acceptance rule: a
+// row must sit in this sweep's grid (and shard), and a repeated index must
+// repeat the earlier row byte for byte.
 //
 // Row order (format v2): rows appear in the sweep's deterministic
 // heaviest-first schedule order, whatever the thread count — workers buffer
@@ -28,30 +21,26 @@
 // therefore byte-identical to a 1-thread run's, and merge_sweep_journals
 // can reassemble shard journals into the byte-identical unsharded file.
 
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "exp/harness.hpp"
+#include "support/record_log.hpp"
 #include "support/status.hpp"
 
 namespace ucp::exp {
 
 class SweepJournal {
  public:
-  SweepJournal() = default;
-  ~SweepJournal() { close(); }
-  SweepJournal(const SweepJournal&) = delete;
-  SweepJournal& operator=(const SweepJournal&) = delete;
-
   /// Opens (or creates) the journal at `path` for the sweep identified by
   /// `grid_fp` + `selection_fp`, owned by shard `shard_index` of
   /// `shard_count` (0 of 1 = unsharded; the header only names the shard
   /// when sharded). Valid rows whose index passes `matches_grid` are
   /// restored into `rows` / `have_row` (both pre-sized to the result
-  /// count); everything from the first invalid row onward is truncated. On
+  /// count); everything from the first invalid row onward is truncated. A
+  /// file that is not a sweep journal is refused and left untouched. On
   /// success the journal is active() and ready for appends. `note()`
   /// afterwards describes what happened (started / resumed N rows /
   /// reset: why).
@@ -64,8 +53,9 @@ class SweepJournal {
 
   /// Appends `count` result rows starting at `first` (their grid indices)
   /// and makes them durable. A write failure disables the journal (the
-  /// sweep continues without checkpoints) and is returned as a Status.
-  /// Not thread-safe; the sweep's single flusher serializes appends.
+  /// sweep continues without checkpoints), is noted in note() and is
+  /// returned as a Status. Not thread-safe; the sweep's single flusher
+  /// serializes appends.
   Status append(const std::vector<UseCaseResult>& results, std::size_t first,
                 std::size_t count);
 
@@ -86,11 +76,11 @@ class SweepJournal {
   /// not checkpoints).
   Status annotate(const std::string& text);
 
-  bool active() const { return file_ != nullptr; }
+  bool active() const { return log_.active(); }
   const std::string& note() const { return note_; }
   std::size_t resumed_rows() const { return resumed_; }
 
-  void close();
+  void close() { log_.close(); }
 
   /// Fingerprint of everything that must match for journal rows to be
   /// reusable: the resolved program list, configuration subset, tech nodes,
@@ -105,8 +95,7 @@ class SweepJournal {
                                 UseCaseResult& result);
 
  private:
-  std::FILE* file_ = nullptr;
-  std::string path_;
+  support::RecordLog log_;
   std::string note_;
   std::size_t resumed_ = 0;
 };
@@ -154,9 +143,10 @@ const char* merge_reason_name(MergeDiagnostic::Reason reason);
 /// input carries the sweep's grid + selection fingerprints and a distinct
 /// shard slot of one common N, that every row belongs to the shard that
 /// journaled it, and that the union is exactly the full grid — overlapping
-/// rows must be byte-identical and gaps are an error, never padded. On
-/// success, when `output_path` is non-empty, writes a merged journal there
-/// (durably: temp + fsync + rename) that is byte-identical to the journal
+/// rows must be byte-identical and gaps are an error, never padded; a torn
+/// row is an error too, never truncated. On success, when `output_path` is
+/// non-empty, writes a merged journal there (RecordLog::publish: temp +
+/// fsync + rename) that is byte-identical to the journal
 /// an unsharded run would have produced — same header, same rows, same
 /// deterministic schedule order. On rejection, when `diagnostic` is
 /// non-null, it is filled with the structured reason alongside the Status.

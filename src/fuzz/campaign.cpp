@@ -1,9 +1,6 @@
 #include "fuzz/campaign.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -14,8 +11,8 @@
 #include "fuzz/shrink.hpp"
 #include "gen/generator.hpp"
 #include "obs/metrics.hpp"
-#include "support/durable_io.hpp"
 #include "support/fault_injection.hpp"
+#include "support/hash.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -23,24 +20,8 @@ namespace ucp::fuzz {
 
 namespace {
 
-std::uint64_t fnv1a(const std::string& s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string to_hex(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
+using support::fnv1a;
+using support::hex16;
 
 /// Compute-path sites crossed with the oracles when fault_every > 0.
 /// exp.* and io.* sites are NOT on check_program's path; every site here
@@ -65,123 +46,65 @@ const cache::NamedCacheConfig& case_config(const CampaignOptions& options,
   return grid[i];
 }
 
-// --- campaign journal -------------------------------------------------------
-// Same durability discipline as the sweep journal, smaller scope: a header
-// binding the root seed and options that affect verdicts, then one
-// checksummed verdict line per finished case. The header deliberately
-// EXCLUDES the case count: seeds derive from split_seed(root, index), so a
-// 200-case journal resumes seamlessly into a 1000-case run of the same
-// campaign.
+constexpr char kJournalMagic[] = "# ucp-fuzz-journal v";
 
-constexpr const char* kJournalMagic = "# ucp-fuzz-journal v1";
-
+// v2: rows are framed `<verdict line>,<checksum>` like every RecordLog (v1
+// used a tab); v1 journals reset on open. The header deliberately EXCLUDES
+// the case count: seeds derive from split_seed(root, index), so a 200-case
+// journal resumes seamlessly into a 1000-case run of the same campaign.
 std::string journal_header(const CampaignOptions& options) {
   std::ostringstream os;
-  os << kJournalMagic << " seed=" << to_hex(options.seed)
+  os << kJournalMagic << "2 seed=" << hex16(options.seed)
      << " rotation=" << options.config_rotation
      << " fault_every=" << options.fault_every;
-  // Only sharded campaigns name their slice, so pre-shard journals (and
-  // unsharded ones) keep resuming unchanged.
+  // Only sharded campaigns name their slice, so unsharded journals keep
+  // resuming unchanged.
   if (options.shard_count > 1)
     os << " shard=" << options.shard_index << "/" << options.shard_count;
   return os.str();
 }
 
-class CampaignJournal {
- public:
-  ~CampaignJournal() { close(); }
+}  // namespace
 
-  void open(const std::string& path, const CampaignOptions& options,
-            std::vector<CaseVerdict>& resumed, std::string& note) {
-    path_ = path;
-    const std::string header = journal_header(options);
-    // Read back whatever is durable; truncate at the first invalid row.
-    std::string keep;
-    std::size_t keep_rows = 0;
-    {
-      std::ifstream in(path);
-      std::string line;
-      bool first = true;
-      bool valid = true;
-      while (valid && std::getline(in, line)) {
-        if (first) {
-          first = false;
-          if (line != header) {
-            note = "reset: header mismatch (different campaign options)";
-            keep.clear();
-            break;
-          }
-          keep += line + "\n";
-          continue;
-        }
-        const auto tab = line.rfind('\t');
-        if (tab == std::string::npos ||
-            line.substr(tab + 1) != to_hex(fnv1a(line.substr(0, tab)))) {
-          valid = false;  // torn tail; truncate from here
-          break;
-        }
+Status CampaignJournal::open(const std::string& path,
+                             const CampaignOptions& options,
+                             std::vector<CaseVerdict>& resumed) {
+  const std::uint32_t shards = std::max(1u, options.shard_count);
+  const Status opened = log_.open(
+      path, kJournalMagic, journal_header(options), [&](std::string_view body) {
         CaseVerdict v;
-        if (!CaseVerdict::parse(line.substr(0, tab), v)) {
-          valid = false;
-          break;
-        }
         // Rows must follow this campaign's owned-index sequence: the r-th
         // row is case shard_index + r * shard_count (identity when
         // unsharded). Anything else is out of order; distrust the rest.
-        const std::uint32_t shards = std::max(1u, options.shard_count);
-        if (v.index !=
-            options.shard_index +
-                static_cast<std::uint32_t>(resumed.size()) * shards) {
-          valid = false;
-          break;
-        }
+        if (!CaseVerdict::parse(std::string(body), v) ||
+            v.index != options.shard_index +
+                           static_cast<std::uint32_t>(resumed.size()) * shards)
+          return false;
         resumed.push_back(std::move(v));
-        keep += line + "\n";
-        ++keep_rows;
-      }
-    }
-    file_ = std::fopen(path.c_str(), "w");
-    if (file_ == nullptr) {
-      note = "disabled: cannot open '" + path + "'";
-      return;
-    }
-    if (keep.empty()) keep = header + "\n";
-    std::fwrite(keep.data(), 1, keep.size(), file_);
-    std::fflush(file_);
-    support::fsync_fd(fileno(file_), path_);
-    support::fsync_parent(path_);
-    if (note.empty())
-      note = keep_rows > 0 ? "resumed " + std::to_string(keep_rows) + " case(s)"
-                           : "started";
+        return true;
+      });
+  if (!opened.ok()) {
+    note_ = "journaling disabled: " + opened.message();
+    return opened;
   }
+  if (log_.start() == support::RecordLog::Start::kReset)
+    note_ = "reset: header mismatch (different campaign options)";
+  else
+    note_ = resumed.empty()
+                ? "started"
+                : "resumed " + std::to_string(resumed.size()) + " case(s)";
+  return Status::Ok();
+}
 
-  void append(const CaseVerdict& verdict) {
-    if (file_ == nullptr) return;
-    const std::string body = verdict.line();
-    const std::string row = body + "\t" + to_hex(fnv1a(body)) + "\n";
-    if (std::fwrite(row.data(), 1, row.size(), file_) != row.size()) {
-      close();  // journal write failure: continue without checkpoints
-      return;
-    }
-    std::fflush(file_);
-    support::fsync_fd(fileno(file_), path_);
-  }
-
-  void close() {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = nullptr;
-  }
-
- private:
-  std::FILE* file_ = nullptr;
-  std::string path_;
-};
-
-}  // namespace
+Status CampaignJournal::append(const CaseVerdict& verdict) {
+  const Status appended = log_.append({verdict.line()});
+  if (!appended.ok()) note_ += "; journaling disabled: " + appended.message();
+  return appended;
+}
 
 std::string CaseVerdict::line() const {
   std::ostringstream os;
-  os << "case " << index << " seed=" << to_hex(case_seed)
+  os << "case " << index << " seed=" << hex16(case_seed)
      << " config=" << config_id
      << " fault=" << (fault_site.empty() ? "-" : fault_site)
      << " oracle=" << oracle_name(violation)
@@ -253,11 +176,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
 
   CampaignJournal journal;
   if (!options.journal_path.empty()) {
-    std::vector<CaseVerdict> resumed;
-    std::string note;
-    journal.open(options.journal_path, options, resumed, note);
-    result.journal_note += result.journal_note.empty() ? note : "; " + note;
-    result.verdicts = std::move(resumed);
+    journal.open(options.journal_path, options, result.verdicts);
     // A journal from a longer run of the same campaign may hold cases past
     // this run's count; indices are increasing, so trim from the tail.
     while (!result.verdicts.empty() &&
@@ -373,7 +292,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
           }
         }
         std::ostringstream file;
-        file << options.corpus_dir << "/repro_" << to_hex(case_seed) << "_"
+        file << options.corpus_dir << "/repro_" << hex16(case_seed) << "_"
              << oracle_name(verdict.violation) << ".ucp";
         entry.name = file.str();
         if (write_corpus_entry(file.str(), entry).ok()) {
@@ -400,7 +319,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     while (frontier < slots.size() && slot_done[frontier] != 0) {
       const CaseVerdict& v = slots[frontier];
       if (options.trace) std::cerr << "[fuzz] " << v.line() << "\n";
-      journal.append(v);
+      if (journal.active()) journal.append(v);
       ++frontier;
       const std::size_t emitted = start + frontier;
       if (options.progress_every > 0 &&
@@ -415,6 +334,9 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   });
   for (CaseVerdict& v : slots) result.verdicts.push_back(std::move(v));
   journal.close();
+  if (!options.journal_path.empty())
+    result.journal_note +=
+        (result.journal_note.empty() ? "" : "; ") + journal.note();
 
   // Totals + fingerprint over ALL verdicts (resumed ones included), so an
   // interrupted+resumed campaign reports exactly like an uninterrupted one.
@@ -430,7 +352,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     if (!v.pipeline_ok) ++result.skipped;
     if (!v.fault_site.empty()) ++result.faulted;
   }
-  result.fingerprint = to_hex(h);
+  result.fingerprint = hex16(h);
 
   // Publish-at-end authoritative totals (mirrors publish_sweep_metrics).
   if (obs::enabled()) {

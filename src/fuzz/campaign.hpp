@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "fuzz/oracles.hpp"
+#include "support/record_log.hpp"
+#include "support/status.hpp"
 
 namespace ucp::fuzz {
 
@@ -70,6 +72,31 @@ struct CaseVerdict {
   std::string line() const;
   /// Inverse of line(); false on malformed input (journal resume).
   static bool parse(const std::string& line, CaseVerdict& out);
+};
+
+/// Checkpoint/resume journal of a campaign: a support::RecordLog whose
+/// header binds the root seed and the options that affect verdicts, with
+/// one verdict line per finished case, in the campaign's owned-index order.
+class CampaignJournal {
+ public:
+  /// Opens (or creates) the journal at `path` for the campaign `options`
+  /// and restores the durable verdict prefix into `resumed`. A journal of
+  /// different options resets; a file that is not a campaign journal is
+  /// refused and left untouched (the campaign then runs unjournaled).
+  Status open(const std::string& path, const CampaignOptions& options,
+              std::vector<CaseVerdict>& resumed);
+  /// Appends one verdict durably; a failure disables the journal and is
+  /// noted in note().
+  Status append(const CaseVerdict& verdict);
+
+  bool active() const { return log_.active(); }
+  /// started / resumed N / reset: why / journaling disabled: why.
+  const std::string& note() const { return note_; }
+  void close() { log_.close(); }
+
+ private:
+  support::RecordLog log_;
+  std::string note_;
 };
 
 struct CampaignResult {

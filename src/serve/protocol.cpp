@@ -1,10 +1,11 @@
 #include "serve/protocol.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <vector>
+
+#include "support/hash.hpp"
 
 namespace ucp::serve {
 
@@ -12,21 +13,6 @@ namespace {
 
 constexpr char kRequestMagic[] = "ucp-request v1";
 constexpr char kResponseMagic[] = "ucp-response v1";
-
-std::uint64_t fnv1a(const std::string& s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string to_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
 
 Status malformed(const std::string& why) {
   return Status(ErrorCode::kMalformedInput, why);
@@ -363,16 +349,16 @@ Expected<ErrorCode> error_code_from_name(const std::string& name) {
 }
 
 std::string request_fingerprint(const Request& request) {
-  std::uint64_t h = fnv1a(request.program_text);
-  h = fnv1a(request.config_id + "," +
-                std::to_string(request.config.assoc) + "," +
-                std::to_string(request.config.block_bytes) + "," +
-                std::to_string(request.config.capacity_bytes) + "," +
-                energy::tech_name(request.tech) + "," +
-                std::to_string(request.deadline_ms) + "," +
-                std::to_string(request.attempts),
-            h);
-  return to_hex(h);
+  std::uint64_t h = support::fnv1a(request.program_text);
+  h = support::fnv1a(request.config_id + "," +
+                         std::to_string(request.config.assoc) + "," +
+                         std::to_string(request.config.block_bytes) + "," +
+                         std::to_string(request.config.capacity_bytes) + "," +
+                         energy::tech_name(request.tech) + "," +
+                         std::to_string(request.deadline_ms) + "," +
+                         std::to_string(request.attempts),
+                     h);
+  return support::hex16(h);
 }
 
 std::string serialize_request(const Request& request) {

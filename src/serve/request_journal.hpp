@@ -7,10 +7,10 @@
 // on the same journal answers a re-sent request id with the byte-identical
 // response instead of recomputing (or worse, recomputing differently).
 //
-// Same durability discipline as the sweep journal (exp/journal.hpp):
-// fsync'd magic header, `\`/`\c`/`\n` cell escaping, trailing FNV-1a row
-// checksum, torn-tail truncation on open. Rows map a request id to its
-// request fingerprint and full serialized response:
+// A support::RecordLog (fsync'd magic header, checksummed rows, torn-tail
+// truncation on open) with `\`/`\c`/`\n` cell escaping. Rows map a request
+// id to its request fingerprint and full serialized response; the last row
+// for an id wins:
 //
 //   req,<id>,<fingerprint>,<escaped response bytes>,<checksum>
 //
@@ -19,10 +19,10 @@
 // the same id with a *different* fingerprint is a client bug and gets a
 // structured kMalformedInput error.
 
-#include <cstdio>
 #include <map>
 #include <string>
 
+#include "support/record_log.hpp"
 #include "support/status.hpp"
 
 namespace ucp::serve {
@@ -34,37 +34,33 @@ class RequestJournal {
     std::string response_text;  ///< serialize_response bytes, replayed 0
   };
 
-  RequestJournal() = default;
-  ~RequestJournal() { close(); }
-  RequestJournal(const RequestJournal&) = delete;
-  RequestJournal& operator=(const RequestJournal&) = delete;
-
   /// Opens (or creates) the journal at `path`, restoring every valid row
-  /// into the in-memory replay map. A missing file starts fresh; a bad
-  /// header resets the file; a torn tail is truncated away. After open()
-  /// the journal is active() and `note()` says what happened.
+  /// into the in-memory replay map. A missing file starts fresh; a file
+  /// that is not a request journal is refused and left untouched; a torn
+  /// tail is truncated away. After open() the journal is active() and
+  /// `note()` says what happened.
   Status open(const std::string& path);
 
   /// Appends one terminal response durably (fwrite + fflush + fsync) and
   /// records it in the replay map. Sits behind the serve.journal_write
-  /// fault point; a write failure deactivates the journal (the daemon
-  /// keeps serving, without replay durability) and returns the Status.
+  /// fault point (and RecordLog's io.journal_* ones); a write failure
+  /// deactivates the journal (the daemon keeps serving, without replay
+  /// durability), is noted in note() and returns the Status.
   Status append(const std::string& id, const std::string& fingerprint,
                 const std::string& response_text);
 
   /// Replay lookup; nullptr when the id was never journaled.
   const Entry* find(const std::string& id) const;
 
-  bool active() const { return file_ != nullptr; }
+  bool active() const { return log_.active(); }
   const std::string& note() const { return note_; }
   std::size_t restored() const { return restored_; }
   std::size_t rows() const { return entries_.size(); }
 
-  void close();
+  void close() { log_.close(); }
 
  private:
-  std::FILE* file_ = nullptr;
-  std::string path_;
+  support::RecordLog log_;
   std::string note_;
   std::size_t restored_ = 0;
   std::map<std::string, Entry> entries_;

@@ -1,13 +1,10 @@
 #include "serve/server.hpp"
 
 #include <chrono>
-#include <cinttypes>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <list>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -26,6 +23,7 @@
 #include "serve/request_journal.hpp"
 #include "support/cancellation.hpp"
 #include "support/fault_injection.hpp"
+#include "support/hash.hpp"
 #include "support/socket.hpp"
 #include "wcet/ipet.hpp"
 
@@ -37,21 +35,6 @@ std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::uint64_t fnv1a(std::string_view s,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string to_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
 }
 
 /// Failure classes worth another rung on the ladder — must match the
@@ -203,7 +186,6 @@ struct Server::Impl {
   // --- idempotent-replay journal -------------------------------------------
   std::mutex journal_mutex;
   RequestJournal journal;
-  std::string journal_note;
 
   // --- warm cross-request caches -------------------------------------------
   // Response cache: fingerprint -> full Response of a computed request.
@@ -461,7 +443,7 @@ void Server::Impl::handle_connection(support::Socket conn, WorkerSlot& slot) {
     // flight records opened under the scope carry it, so one request's
     // work is separable from a loaded daemon's interleaved trace. Zero
     // means "uncorrelated", so an unlucky hash is nudged off it.
-    std::uint64_t ctx = fnv1a(request->id);
+    std::uint64_t ctx = support::fnv1a(request->id);
     if (ctx == 0) ctx = 1;
     const bool sampled = options.trace_sample_every > 0 &&
                          obs::trace_enabled() &&
@@ -763,7 +745,7 @@ Response Server::Impl::run_pipeline(const Request& request,
 std::shared_ptr<Server::Impl::ProgramIpet> Server::Impl::ipet_for(
     const std::string& program_text, const ir::Program& program) {
   if (options.ipet_cache_entries == 0) return nullptr;
-  const std::string key = to_hex(fnv1a(program_text));
+  const std::string key = support::hex16(support::fnv1a(program_text));
   {
     std::lock_guard<std::mutex> lock(ipet_cache_mutex);
     auto it = ipet_index.find(key);
@@ -1016,7 +998,7 @@ void Server::Impl::maybe_dump_request_trace(const Request& request,
     obs::log(obs::LogLevel::kInfo, "serve", "trace_sampled", path,
              obs::LogFields()
                  .str("request", request.id)
-                 .str("ctx", to_hex(ctx))
+                 .str("ctx", support::hex16(ctx))
                  .num("spans", static_cast<std::uint64_t>(events.size())));
   } else {
     obs::log(obs::LogLevel::kWarn, "serve", "trace_write_failed",
@@ -1059,9 +1041,6 @@ Status Server::start() {
   if (!impl.options.journal_path.empty()) {
     Status opened = impl.journal.open(impl.options.journal_path);
     if (!opened.ok()) return opened;
-    impl.journal_note = impl.journal.note();
-  } else {
-    impl.journal_note = "request journal disabled (no path)";
   }
 
   const std::uint32_t workers = std::max(1u, impl.options.workers);
@@ -1075,7 +1054,7 @@ Status Server::start() {
   impl.watchdog_thread = std::thread([&impl] { impl.watchdog_loop(); });
   if (impl.options.admin_enabled)
     impl.admin_thread = std::thread([&impl] { impl.admin_loop(); });
-  obs::log(obs::LogLevel::kInfo, "serve", "started", impl.journal_note,
+  obs::log(obs::LogLevel::kInfo, "serve", "started", journal_note(),
            obs::LogFields()
                .num("port", static_cast<std::uint64_t>(impl.port))
                .num("admin_port", static_cast<std::uint64_t>(impl.admin_port))
@@ -1121,6 +1100,11 @@ void Server::stop() {
 
 ServerStats Server::stats() const { return impl_->collect_stats(); }
 
-std::string Server::journal_note() const { return impl_->journal_note; }
+std::string Server::journal_note() const {
+  if (impl_->options.journal_path.empty())
+    return "request journal disabled (no path)";
+  std::lock_guard<std::mutex> lock(impl_->journal_mutex);
+  return impl_->journal.note();
+}
 
 }  // namespace ucp::serve

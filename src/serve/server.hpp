@@ -141,7 +141,8 @@ class Server {
 
   ServerStats stats() const;
 
-  /// What the request journal did at open ("restored N..." / "reset ...").
+  /// What the request journal did at open ("restored N..." / "reset ..."),
+  /// plus "journaling disabled: why" once an append has failed.
   std::string journal_note() const;
 
  private:

@@ -4,7 +4,10 @@
 // torn tails and stale checkpoints are truncated or reset, never trusted;
 // a journal write failure disables checkpointing but not the sweep; the
 // retry ladder recovers supervisor cancellations; and an auditor violation
-// quarantines deterministically.
+// quarantines deterministically. The same record-log guarantees are pinned
+// for the daemon's request journal and the fuzz campaign journal: a foreign
+// file is refused untouched, a write failure closes the log with a note, and
+// a kill mid-append keeps every earlier row.
 
 #include <gtest/gtest.h>
 #include <sys/types.h>
@@ -21,6 +24,8 @@
 #include "energy/model.hpp"
 #include "exp/harness.hpp"
 #include "exp/journal.hpp"
+#include "fuzz/campaign.hpp"
+#include "serve/request_journal.hpp"
 #include "support/fault_injection.hpp"
 
 namespace ucp::exp {
@@ -48,6 +53,29 @@ struct TempFile {
   }
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Opens a sweep journal for the journaled_sweep grid (no rows restored).
+Status open_sweep_journal(SweepJournal& journal, const std::string& path) {
+  std::vector<UseCaseResult> rows(6);
+  std::vector<bool> have(rows.size(), false);
+  return journal.open(path, sweep_grid_fingerprint(), "selection", 0, 1,
+                      rows, have,
+                      [](std::size_t, const UseCaseResult&) { return false; });
+}
+
+fuzz::CampaignOptions tiny_campaign(const std::string& journal) {
+  fuzz::CampaignOptions options;
+  options.cases = 3;
+  options.shrink = false;
+  options.journal_path = journal;
+  return options;
+}
 
 std::string reference_fingerprint() {
   fault::disarm_all();
@@ -153,6 +181,130 @@ TEST(Recovery, JournalWriteFaultDisablesJournalNotTheSweep) {
   EXPECT_EQ(sweep_results_fingerprint(sweep.results), want);
   EXPECT_NE(sweep.report.journal_note.find("disabled"), std::string::npos)
       << sweep.report.journal_note;
+}
+
+TEST(Recovery, JournalsRefuseForeignFilesAndLeaveThemUntouched) {
+  fault::disarm_all();
+  TempFile foreign("recovery_foreign_notes");
+  const std::string notes = "meeting notes\nnot a journal, keep me\n";
+  std::ofstream(foreign.path, std::ios::binary) << notes;
+
+  SweepJournal sweep_journal;
+  const Status sweep_opened = open_sweep_journal(sweep_journal, foreign.path);
+  EXPECT_FALSE(sweep_opened.ok());
+  EXPECT_FALSE(sweep_journal.active());
+  EXPECT_EQ(read_file(foreign.path), notes);
+
+  // The sweep itself runs on, unjournaled, and says so.
+  const Sweep sweep = run_sweep(journaled_sweep(foreign.path));
+  EXPECT_TRUE(sweep.report.clean());
+  EXPECT_NE(sweep.report.journal_note.find("disabled"), std::string::npos)
+      << sweep.report.journal_note;
+  EXPECT_EQ(read_file(foreign.path), notes);
+
+  serve::RequestJournal request_journal;
+  EXPECT_FALSE(request_journal.open(foreign.path).ok());
+  EXPECT_FALSE(request_journal.active());
+  EXPECT_EQ(read_file(foreign.path), notes);
+
+  std::vector<fuzz::CaseVerdict> resumed;
+  fuzz::CampaignJournal campaign_journal;
+  EXPECT_FALSE(campaign_journal
+                   .open(foreign.path, tiny_campaign(foreign.path), resumed)
+                   .ok());
+  EXPECT_FALSE(campaign_journal.active());
+  const fuzz::CampaignResult campaign =
+      fuzz::run_campaign(tiny_campaign(foreign.path));
+  EXPECT_EQ(campaign.verdicts.size(), 3u);
+  EXPECT_NE(campaign.journal_note.find("disabled"), std::string::npos)
+      << campaign.journal_note;
+  EXPECT_EQ(read_file(foreign.path), notes);
+}
+
+TEST(Recovery, WriteFaultClosesEveryJournalWithANote) {
+  fault::disarm_all();
+  std::vector<UseCaseResult> rows(1);
+  rows[0].program = "bs";
+  rows[0].config_id = "k1";
+
+  TempFile sweep_path("recovery_close_sweep");
+  SweepJournal sweep_journal;
+  ASSERT_TRUE(open_sweep_journal(sweep_journal, sweep_path.path).ok());
+  {
+    fault::ScopedFault fault("io.journal_write");
+    EXPECT_FALSE(sweep_journal.append(rows, 0, 1).ok());
+  }
+  EXPECT_FALSE(sweep_journal.active());
+  EXPECT_NE(sweep_journal.note().find("disabled"), std::string::npos)
+      << sweep_journal.note();
+
+  TempFile request_path("recovery_close_request");
+  serve::RequestJournal request_journal;
+  ASSERT_TRUE(request_journal.open(request_path.path).ok());
+  {
+    fault::ScopedFault fault("io.journal_write");
+    EXPECT_FALSE(request_journal.append("id-1", std::string(16, 'a'), "r")
+                     .ok());
+  }
+  EXPECT_FALSE(request_journal.active());
+  EXPECT_EQ(request_journal.find("id-1"), nullptr);
+  EXPECT_NE(request_journal.note().find("disabled"), std::string::npos)
+      << request_journal.note();
+
+  TempFile campaign_path("recovery_close_campaign");
+  std::vector<fuzz::CaseVerdict> resumed;
+  fuzz::CampaignJournal campaign_journal;
+  ASSERT_TRUE(campaign_journal
+                  .open(campaign_path.path, tiny_campaign(campaign_path.path),
+                        resumed)
+                  .ok());
+  {
+    fault::ScopedFault fault("io.journal_write");
+    EXPECT_FALSE(campaign_journal.append(fuzz::CaseVerdict{}).ok());
+  }
+  EXPECT_FALSE(campaign_journal.active());
+  EXPECT_NE(campaign_journal.note().find("disabled"), std::string::npos)
+      << campaign_journal.note();
+}
+
+TEST(Recovery, RequestJournalKillMidAppendKeepsEarlierResponses) {
+  fault::disarm_all();
+  TempFile journal("recovery_kill_request_journal");
+  const std::string fp(16, 'f');
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << "fork failed";
+  if (child == 0) {
+    serve::RequestJournal rj;
+    if (!rj.open(journal.path).ok() || !rj.append("done", fp, "ok 1").ok())
+      std::_Exit(41);
+    fault::arm("io.journal_kill");
+    rj.append("torn", fp, "ok 2");
+    std::_Exit(42);  // only reached if the fault never fired
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(wstatus))
+      << "child exited with " << WEXITSTATUS(wstatus);
+  ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
+
+  serve::RequestJournal rj;
+  ASSERT_TRUE(rj.open(journal.path).ok());
+  EXPECT_EQ(rj.restored(), 1u);
+  ASSERT_NE(rj.find("done"), nullptr);
+  EXPECT_EQ(rj.find("done")->response_text, "ok 1");
+  EXPECT_EQ(rj.find("torn"), nullptr);
+  EXPECT_NE(rj.note().find("torn tail truncated"), std::string::npos)
+      << rj.note();
+
+  // The re-run request appends after the cut and replays on restart.
+  ASSERT_TRUE(rj.append("torn", fp, "ok 2").ok());
+  rj.close();
+  serve::RequestJournal again;
+  ASSERT_TRUE(again.open(journal.path).ok());
+  EXPECT_EQ(again.restored(), 2u);
+  ASSERT_NE(again.find("torn"), nullptr);
+  EXPECT_EQ(again.find("torn")->response_text, "ok 2");
 }
 
 TEST(Recovery, LadderRecoversFromSupervisorCancellation) {

@@ -590,6 +590,27 @@ TEST(Server, JournalWriteFaultDisablesJournalingNotService) {
   server.stop();
 }
 
+TEST(Server, RecordLogWriteFaultDisablesJournalingNotService) {
+  fault::disarm_all();
+  TempFile journal("serve_journal_io_fault");
+  ServerOptions options = quick_options();
+  options.journal_path = journal.path;
+  Server server(options);
+  ASSERT_TRUE(server.start().ok());
+  fault::arm("io.journal_write");
+  const auto response = call(server.port(), bs_request("io-fault"));
+  fault::disarm_all();
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status, ResponseStatus::kOk);
+  EXPECT_NE(server.journal_note().find("disabled"), std::string::npos)
+      << server.journal_note();
+  const auto again = call(server.port(), bs_request("io-fault"));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->status, ResponseStatus::kOk);
+  EXPECT_FALSE(again->replayed);
+  server.stop();
+}
+
 TEST(Server, RespondFaultAfterJournalingIsRecoveredByClientRetry) {
   fault::disarm_all();
   TempFile journal("serve_journal_respond");

@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
 #include "support/checked.hpp"
 #include "support/fault_injection.hpp"
+#include "support/hash.hpp"
+#include "support/record_log.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/status.hpp"
@@ -302,6 +310,236 @@ TEST(Format, Doubles) {
 TEST(Format, PctChange) {
   EXPECT_EQ(format_pct_change(0.888, 1), "-11.2%");
   EXPECT_EQ(format_pct_change(1.0132, 2), "+1.32%");
+}
+
+// --- RecordLog ------------------------------------------------------------------
+
+using support::RecordLog;
+using support::RecordReader;
+
+constexpr char kMagic[] = "# test-log v";
+constexpr char kHeader[] = "# test-log v1 run=a";
+
+struct TempLog {
+  std::string path = testing::TempDir() + "record_log." +
+                     std::to_string(::getpid());
+  TempLog() { std::remove(path.c_str()); }
+  ~TempLog() { std::remove(path.c_str()); }
+};
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Opens `path` as a kHeader log, accepting every row; returns the bodies.
+std::vector<std::string> reopen(RecordLog& log, const std::string& path,
+                                const std::string& header = kHeader) {
+  std::vector<std::string> rows;
+  const Status opened =
+      log.open(path, kMagic, header, [&](std::string_view body) {
+        rows.emplace_back(body);
+        return true;
+      });
+  EXPECT_TRUE(opened.ok()) << opened.message();
+  return rows;
+}
+
+TEST(Hash, Fnv1aAndHex16) {
+  EXPECT_EQ(support::fnv1a(""), support::kFnv1aOffset);
+  // Pinned: every committed fingerprint hashes with this exact variant.
+  EXPECT_EQ(support::hex16(support::fnv1a("a")), "44bd8ad473cd9906");
+  EXPECT_EQ(support::fnv1a("ab"), support::fnv1a("b", support::fnv1a("a")));
+  std::uint64_t back = 0;
+  ASSERT_TRUE(support::parse_hex16("00000000000000ff", back));
+  EXPECT_EQ(back, 255u);
+  EXPECT_FALSE(support::parse_hex16("00000000000000FF", back));
+  EXPECT_FALSE(support::parse_hex16("ff", back));
+}
+
+TEST(RecordLog, FrameRoundTripsAndRejectsCorruption) {
+  const std::string line = RecordLog::frame("row,1,a\\cb");
+  std::string_view body;
+  ASSERT_TRUE(RecordLog::unframe(line, body));
+  EXPECT_EQ(body, "row,1,a\\cb");
+  std::string flipped = line;
+  flipped[4] = '2';
+  EXPECT_FALSE(RecordLog::unframe(flipped, body));
+  EXPECT_FALSE(RecordLog::unframe("no checksum", body));
+
+  const std::string cell = "a,b\\c\nd";
+  const std::vector<std::string> cells = support::split_cells(
+      "x," + support::escape_cell(cell) + ",y");
+  ASSERT_EQ(cells.size(), 3u);
+  EXPECT_EQ(support::unescape_cell(cells[1]), cell);
+}
+
+TEST(RecordLog, BatchedAppendReadsBackInOrder) {
+  TempLog file;
+  RecordLog log;
+  EXPECT_TRUE(reopen(log, file.path).empty());
+  EXPECT_EQ(log.start(), RecordLog::Start::kCreated);
+  ASSERT_TRUE(log.append({"r1", "r2,with,commas", "r3"}).ok());
+  ASSERT_TRUE(log.append({"r4"}).ok());
+  log.close();
+
+  const std::vector<std::string> rows = reopen(log, file.path);
+  EXPECT_EQ(log.start(), RecordLog::Start::kResumed);
+  EXPECT_FALSE(log.truncated());
+  EXPECT_EQ(rows, (std::vector<std::string>{"r1", "r2,with,commas", "r3",
+                                            "r4"}));
+}
+
+TEST(RecordLog, TruncationAtEveryOffsetInTheLastRowRestoresEarlierRows) {
+  TempLog file;
+  std::string complete;
+  {
+    RecordLog log;
+    reopen(log, file.path);
+    ASSERT_TRUE(log.append({"first", "second"}).ok());
+    complete = read_bytes(file.path);
+    ASSERT_TRUE(log.append({"third-row-body"}).ok());
+  }
+  const std::string full = read_bytes(file.path);
+  ASSERT_GT(full.size(), complete.size());
+
+  // Every cut strictly inside the last row — its newline included — must
+  // restore exactly the two earlier rows and cut the file back to them.
+  for (std::size_t cut = complete.size() + 1; cut < full.size(); ++cut) {
+    write_bytes(file.path, full.substr(0, cut));
+    RecordLog log;
+    const std::vector<std::string> rows = reopen(log, file.path);
+    EXPECT_EQ(rows, (std::vector<std::string>{"first", "second"}))
+        << "cut at " << cut;
+    EXPECT_TRUE(log.truncated()) << "cut at " << cut;
+    log.close();
+    EXPECT_EQ(read_bytes(file.path), complete) << "cut at " << cut;
+  }
+
+  // The truncated log appends cleanly after the surviving rows.
+  RecordLog log;
+  reopen(log, file.path);
+  ASSERT_TRUE(log.append({"third-row-body"}).ok());
+  log.close();
+  EXPECT_EQ(read_bytes(file.path), full);
+}
+
+TEST(RecordLog, AnnotationsAreSkippedAndKeepOffsets) {
+  TempLog file;
+  std::string before_garbage;
+  {
+    RecordLog log;
+    reopen(log, file.path);
+    ASSERT_TRUE(log.append({"a"}).ok());
+    ASSERT_TRUE(log.annotate("metrics {\"x\":1}\nsecond line").ok());
+    ASSERT_TRUE(log.append({"b"}).ok());
+    ASSERT_TRUE(log.annotate("trailing").ok());
+    before_garbage = read_bytes(file.path);
+  }
+  EXPECT_NE(before_garbage.find("\n# metrics {\"x\":1} second line\n"),
+            std::string::npos);
+  write_bytes(file.path, before_garbage + "c,0123456789abcdef\n");
+
+  RecordLog log;
+  const std::vector<std::string> rows = reopen(log, file.path);
+  EXPECT_EQ(rows, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(log.truncated());
+  log.close();
+  EXPECT_EQ(read_bytes(file.path), before_garbage);
+}
+
+TEST(RecordLog, RejectedRowTruncatesFromThere) {
+  TempLog file;
+  {
+    RecordLog log;
+    reopen(log, file.path);
+    ASSERT_TRUE(log.append({"keep", "drop", "after"}).ok());
+  }
+  RecordLog log;
+  std::vector<std::string> rows;
+  ASSERT_TRUE(log.open(file.path, kMagic, kHeader, [&](std::string_view b) {
+                   if (b == "drop") return false;
+                   rows.emplace_back(b);
+                   return true;
+                 }).ok());
+  EXPECT_EQ(rows, std::vector<std::string>{"keep"});
+  log.close();
+  EXPECT_EQ(read_bytes(file.path),
+            std::string(kHeader) + "\n" + RecordLog::frame("keep") + "\n");
+}
+
+TEST(RecordLog, SameMagicDifferentHeaderResets) {
+  TempLog file;
+  {
+    RecordLog log;
+    reopen(log, file.path);
+    ASSERT_TRUE(log.append({"stale"}).ok());
+  }
+  RecordLog log;
+  EXPECT_TRUE(reopen(log, file.path, "# test-log v1 run=b").empty());
+  EXPECT_EQ(log.start(), RecordLog::Start::kReset);
+  log.close();
+  EXPECT_EQ(read_bytes(file.path), "# test-log v1 run=b\n");
+}
+
+TEST(RecordLog, ForeignFileIsRefusedAndLeftUntouched) {
+  TempLog file;
+  const std::string notes = "shopping list\n- eggs\n";
+  write_bytes(file.path, notes);
+  RecordLog log;
+  const Status opened = log.open(file.path, kMagic, kHeader,
+                                 [](std::string_view) { return true; });
+  EXPECT_FALSE(opened.ok());
+  EXPECT_EQ(opened.code(), ErrorCode::kMalformedInput);
+  EXPECT_FALSE(log.active());
+  EXPECT_EQ(read_bytes(file.path), notes);
+}
+
+TEST(RecordLog, EmptyFileAndTornHeaderStartFresh) {
+  TempLog file;
+  for (const std::string& stub : {std::string(), std::string("# test-l")}) {
+    write_bytes(file.path, stub);
+    RecordLog log;
+    EXPECT_TRUE(reopen(log, file.path).empty());
+    EXPECT_EQ(log.start(), RecordLog::Start::kCreated);
+    log.close();
+    EXPECT_EQ(read_bytes(file.path), std::string(kHeader) + "\n");
+  }
+}
+
+TEST(RecordLog, AnyWriteFailureClosesTheLog) {
+  TempLog file;
+  RecordLog log;
+  reopen(log, file.path);
+  {
+    fault::ScopedFault fault("io.journal_write");
+    EXPECT_FALSE(log.append({"lost"}).ok());
+  }
+  EXPECT_FALSE(log.active());
+  EXPECT_FALSE(log.append({"after"}).ok());
+  EXPECT_TRUE(reopen(log, file.path).empty());
+}
+
+TEST(RecordReader, StrictReadReportsTornRows) {
+  TempLog file;
+  write_bytes(file.path, std::string(kHeader) + "\n" +
+                             RecordLog::frame("ok") + "\n# note\n" +
+                             RecordLog::frame("torn"));
+  RecordReader reader;
+  ASSERT_TRUE(reader.load(file.path).ok());
+  ASSERT_TRUE(reader.has_header());
+  EXPECT_EQ(reader.header(), kHeader);
+  std::string_view body;
+  ASSERT_EQ(reader.next(body), RecordReader::Row::kOk);
+  EXPECT_EQ(body, "ok");
+  EXPECT_EQ(reader.next(body), RecordReader::Row::kTorn);
+  EXPECT_EQ(reader.offset(), reader.bytes().rfind('\n') + 1);
+  EXPECT_FALSE(RecordReader().load(file.path + ".absent").ok());
 }
 
 }  // namespace
