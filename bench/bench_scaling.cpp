@@ -2,16 +2,13 @@
 // fixed seeded suite of generated programs at 10×/30×/100× the Mälardalen
 // scale (the default GenKnobs CFG size ≈ the paper suite's average).
 //
-// Every program is run through TWO pipelines over the same inputs:
-//   legacy   — global FIFO worklist fixpoint, no ILP presolve
-//              (the pre-PR pipeline, retained behind options)
-//   default  — SCC-sparse fixpoint + hash-consed states + ILP presolve
-// and the bench *fails* (exit 1) if they disagree on τ_mem, the optimized
-// τ_mem, or the insertion count — the scaling suite doubles as a
-// differential oracle at sizes the unit suite never reaches.
-//
-// Per-stage wall-clock (analyze / IPET build / solve / optimize) for both
-// pipelines, plus the speedups, land in BENCH_scaling.json.
+// Every program runs once through the production pipeline (SCC-sparse
+// fixpoint, hash-consed states, ILP presolve, incremental optimizer).
+// Per-stage wall-clock (analyze / IPET build / solve / optimize), the LP
+// row reduction and a result fingerprint per tier land in
+// BENCH_scaling.json; the committed BENCH files are the timing trajectory.
+// The differential against the global-worklist fixpoint and the unreduced
+// ILP lives in the equivalence suite (test_equivalence).
 //
 //   --smoke        one small 10× program only; prints a result fingerprint
 //                  (pinned by the scaling_smoke ctest) and skips the JSON
@@ -72,24 +69,16 @@ struct PipelineOutcome {
   std::uint64_t tau_optimized = 0;
   std::size_t insertions = 0;
   std::size_t graph_nodes = 0;
-  std::size_t ilp_rows = 0;   ///< rows of the system the simplex actually saw
-  std::size_t ilp_cols = 0;
+  std::size_t ilp_rows_full = 0;  ///< rows of the IPET model before presolve
+  std::size_t ilp_rows = 0;       ///< rows the simplex actually saw
 };
 
-/// One program through analyze→IPET-build→solve→optimize. `modern` selects
-/// the full feature set; legacy runs the pre-PR engines. The optimizer knob
-/// set is identical across modes (same candidate budget, same accept rule),
-/// so any output divergence is an engine bug, not a budget artifact.
+/// One program through analyze→IPET-build→solve→optimize.
 PipelineOutcome run_pipeline(const ucp::ir::Program& program,
                              const ucp::cache::CacheConfig& config,
-                             const ucp::cache::MemTiming& timing,
-                             bool modern) {
+                             const ucp::cache::MemTiming& timing) {
   using namespace ucp;
   PipelineOutcome out;
-
-  const analysis::FixpointMode mode = modern
-                                          ? analysis::FixpointMode::kSccSparse
-                                          : analysis::FixpointMode::kGlobalWorklist;
 
   Clock::time_point t = Clock::now();
   std::optional<analysis::CacheAnalysisResult> cls;
@@ -98,7 +87,7 @@ PipelineOutcome run_pipeline(const ucp::ir::Program& program,
     obs::Span span("scaling.analyze");
     graph.emplace(program);
     const ir::Layout layout(program, config.block_bytes);
-    cls = analysis::analyze_cache(*graph, layout, config, mode);
+    cls = analysis::analyze_cache(*graph, layout, config);
   }
   out.times.analyze_s = seconds_since(t);
   out.graph_nodes = graph->num_nodes();
@@ -107,11 +96,13 @@ PipelineOutcome run_pipeline(const ucp::ir::Program& program,
   std::optional<wcet::IpetSystem> ipet;
   {
     obs::Span span("scaling.ipet_build");
-    ipet.emplace(*graph, wcet::IpetOptions{modern});
+    ipet.emplace(*graph);
   }
   out.times.ipet_build_s = seconds_since(t);
   out.ilp_rows = ipet->lp_rows();
-  out.ilp_cols = ipet->lp_cols();
+  out.ilp_rows_full = out.ilp_rows;
+  if (const ilp::Presolve* presolve = ipet->presolve())
+    out.ilp_rows_full += presolve->stats().removed_rows;
 
   t = Clock::now();
   wcet::WcetResult wcet;
@@ -129,11 +120,8 @@ PipelineOutcome run_pipeline(const ucp::ir::Program& program,
 
   t = Clock::now();
   core::OptimizerOptions opt;
-  opt.fixpoint_mode = mode;
-  opt.ipet_presolve = modern;  // moot with a shared system, set for honesty
-  // A deterministic budget that keeps the 100× tier tractable. Identical in
-  // both modes — the budget influences which candidates get tried, so it
-  // must never differ between the pipelines being compared.
+  // A deterministic budget that keeps the 100× tier tractable; the budget
+  // decides which candidates get tried, so it is part of the fingerprint.
   opt.max_evaluations = 96;
   std::optional<core::OptimizationResult> result;
   {
@@ -158,17 +146,13 @@ struct Tier {
 
 struct TierResult {
   const Tier* tier = nullptr;
-  StageTimes legacy;
-  StageTimes modern;
+  StageTimes times;
   std::size_t graph_nodes = 0;   ///< summed over the tier's programs
   std::size_t ilp_rows_full = 0;
   std::size_t ilp_rows_reduced = 0;
   std::size_t insertions = 0;
   std::uint64_t fingerprint = 14695981039346656037ull;  ///< FNV-1a offset
 
-  double speedup() const {
-    return modern.total() > 0.0 ? legacy.total() / modern.total() : 0.0;
-  }
   void mix(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       fingerprint ^= (v >> (8 * i)) & 0xffu;
@@ -198,48 +182,31 @@ TierResult run_tier(const Tier& tier, const ucp::cache::CacheConfig& config,
     const std::uint64_t seed = tier.seed_base + i;
     const ir::Program program = gen::generate_program(seed, knobs);
 
-    const PipelineOutcome legacy =
-        run_pipeline(program, config, timing, /*modern=*/false);
-    const PipelineOutcome modern =
-        run_pipeline(program, config, timing, /*modern=*/true);
+    const PipelineOutcome out = run_pipeline(program, config, timing);
 
-    if (legacy.tau_mem != modern.tau_mem ||
-        legacy.tau_optimized != modern.tau_optimized ||
-        legacy.insertions != modern.insertions) {
-      std::cerr << "[bench] FATAL: legacy/default divergence on seed " << seed
-                << " (" << tier.name << "): tau " << legacy.tau_mem << "/"
-                << modern.tau_mem << ", tau_opt " << legacy.tau_optimized
-                << "/" << modern.tau_optimized << ", insertions "
-                << legacy.insertions << "/" << modern.insertions << "\n";
-      std::exit(1);
-    }
-
-    r.legacy.add(legacy.times);
-    r.modern.add(modern.times);
-    r.graph_nodes += modern.graph_nodes;
-    r.ilp_rows_full += legacy.ilp_rows;
-    r.ilp_rows_reduced += modern.ilp_rows;
-    r.insertions += modern.insertions;
-    r.mix(modern.tau_mem);
-    r.mix(modern.tau_optimized);
-    r.mix(modern.insertions);
-    r.mix(modern.graph_nodes);
+    r.times.add(out.times);
+    r.graph_nodes += out.graph_nodes;
+    r.ilp_rows_full += out.ilp_rows_full;
+    r.ilp_rows_reduced += out.ilp_rows;
+    r.insertions += out.insertions;
+    r.mix(out.tau_mem);
+    r.mix(out.tau_optimized);
+    r.mix(out.insertions);
+    r.mix(out.graph_nodes);
 
     std::cerr << "  [scaling] " << tier.name << " seed " << seed << ": "
-              << modern.graph_nodes << " ctx nodes, rows "
-              << legacy.ilp_rows << "->" << modern.ilp_rows << ", legacy "
-              << legacy.times.total() << "s, default "
-              << modern.times.total() << "s\n";
+              << out.graph_nodes << " ctx nodes, rows " << out.ilp_rows_full
+              << "->" << out.ilp_rows << ", " << out.times.total() << "s\n";
   }
   return r;
 }
 
-void print_stage_row(std::ostream& os, const char* label, const StageTimes& t) {
+void print_stage_row(std::ostream& os, const StageTimes& t) {
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "    %-8s analyze %8.3fs  build %8.3fs  solve %8.3fs  "
+                "    analyze %8.3fs  build %8.3fs  solve %8.3fs  "
                 "optimize %8.3fs  total %8.3fs\n",
-                label, t.analyze_s, t.ipet_build_s, t.solve_s, t.optimize_s,
+                t.analyze_s, t.ipet_build_s, t.solve_s, t.optimize_s,
                 t.total());
   os << buf;
 }
@@ -251,13 +218,7 @@ void write_json(const std::string& path, const std::vector<TierResult>& tiers) {
      << ucp::obs::build_info_json() << ",\n  \"tiers\": [\n";
   for (std::size_t i = 0; i < tiers.size(); ++i) {
     const TierResult& r = tiers[i];
-    auto stages = [&os](const char* key, const StageTimes& t) {
-      os << "      \"" << key << "\": {\"analyze_s\": " << t.analyze_s
-         << ", \"ipet_build_s\": " << t.ipet_build_s
-         << ", \"solve_s\": " << t.solve_s
-         << ", \"optimize_s\": " << t.optimize_s
-         << ", \"total_s\": " << t.total() << "}";
-    };
+    const StageTimes& t = r.times;
     char fp[32];
     std::snprintf(fp, sizeof fp, "%016" PRIx64, r.fingerprint);
     os << "    {\n      \"tier\": \"" << r.tier->name << "\",\n"
@@ -268,11 +229,12 @@ void write_json(const std::string& path, const std::vector<TierResult>& tiers) {
        << "      \"ilp_rows_full\": " << r.ilp_rows_full << ",\n"
        << "      \"ilp_rows_reduced\": " << r.ilp_rows_reduced << ",\n"
        << "      \"insertions\": " << r.insertions << ",\n"
-       << "      \"fingerprint\": \"" << fp << "\",\n";
-    stages("legacy", r.legacy);
-    os << ",\n";
-    stages("default", r.modern);
-    os << ",\n      \"speedup\": " << r.speedup() << "\n    }"
+       << "      \"fingerprint\": \"" << fp << "\",\n"
+       << "      \"default\": {\"analyze_s\": " << t.analyze_s
+       << ", \"ipet_build_s\": " << t.ipet_build_s
+       << ", \"solve_s\": " << t.solve_s
+       << ", \"optimize_s\": " << t.optimize_s
+       << ", \"total_s\": " << t.total() << "}\n    }"
        << (i + 1 < tiers.size() ? ",\n" : "\n");
   }
   os << "  ],\n  \"hardware_concurrency\": "
@@ -331,16 +293,12 @@ int main(int argc, char** argv) {
     results.push_back(run_tier(tier, config, timing));
 
   std::cout << "[bench] scaling suite (" << (smoke ? "smoke" : "full")
-            << "), legacy = global worklist + unreduced ILP\n";
+            << ")\n";
   for (const TierResult& r : results) {
     std::cout << "  " << r.tier->name << " (" << r.tier->programs
               << " programs, " << r.graph_nodes << " ctx nodes, ILP rows "
               << r.ilp_rows_full << "->" << r.ilp_rows_reduced << "):\n";
-    print_stage_row(std::cout, "legacy", r.legacy);
-    print_stage_row(std::cout, "default", r.modern);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "    speedup %.2fx\n", r.speedup());
-    std::cout << buf;
+    print_stage_row(std::cout, r.times);
   }
   char fp[32];
   std::snprintf(fp, sizeof fp, "%016" PRIx64, results.back().fingerprint);

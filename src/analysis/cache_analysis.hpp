@@ -57,15 +57,17 @@ class CacheAnalysisResult {
 /// Fixpoint iteration strategy. Both compute the same least fixpoint (the
 /// equation system has a unique lfp, so iteration order cannot change the
 /// result — DESIGN.md §14); they differ only in how much work convergence
-/// takes.
+/// takes. Production always uses kSccSparse; kGlobalWorklist is a
+/// test-only reference implementation.
 enum class FixpointMode : std::uint8_t {
   /// Default: Tarjan-decompose the context graph once, finalize one SCC at
   /// a time in condensation order with a topo-position priority worklist,
   /// and hash-cons out-states so reconvergence checks and re-joins of
   /// identical states are pointer comparisons.
   kSccSparse,
-  /// Legacy global FIFO worklist over all nodes; retained as the
-  /// differential oracle for the equivalence suite.
+  /// Legacy global FIFO worklist over all nodes. Only the equivalence
+  /// suite (as the reference it compares kSccSparse against) and
+  /// bench_micro_components use it.
   kGlobalWorklist,
 };
 
@@ -121,7 +123,7 @@ class IncrementalCacheAnalysis {
   /// unchanged from the base.
   struct TrialResult {
     ir::Layout layout;
-    std::vector<NodeId> affected;                  // ascending node ids
+    std::vector<NodeId> affected;                  // in ACFG topo order
     std::vector<MustMay> in_states;                // parallel to affected
     std::vector<MustMay> out_states;               // parallel to affected
     std::vector<std::vector<Classification>> cls;  // parallel to affected

@@ -535,14 +535,13 @@ void publish_sweep_metrics(const Sweep& sweep) {
   add("exp.sweep.construction_pivots", sweep.report.construction_pivots);
 
   std::uint64_t attempts = 0, insertions = 0, cand_found = 0, cand_eval = 0;
-  std::uint64_t passes = 0, full_re = 0, incr_re = 0, nodes_re = 0;
+  std::uint64_t passes = 0, incr_re = 0, nodes_re = 0;
   for (const UseCaseResult& r : sweep.results) {
     attempts += r.attempts;
     insertions += r.report.insertions.size();
     cand_found += r.report.candidates_found;
     cand_eval += r.report.candidates_evaluated;
     passes += r.report.passes;
-    full_re += r.report.full_reanalyses;
     incr_re += r.report.incremental_reanalyses;
     nodes_re += r.report.nodes_reanalyzed;
   }
@@ -551,7 +550,6 @@ void publish_sweep_metrics(const Sweep& sweep) {
   add("exp.sweep.candidates_found", cand_found);
   add("exp.sweep.candidates_evaluated", cand_eval);
   add("exp.sweep.optimizer_passes", passes);
-  add("exp.sweep.full_reanalyses", full_re);
   add("exp.sweep.incremental_reanalyses", incr_re);
   add("exp.sweep.nodes_reanalyzed", nodes_re);
 }
@@ -892,16 +890,9 @@ Sweep run_sweep(const SweepOptions& options) {
     const wcet::IpetSystem* shared =
         systems[p] ? &systems[p]->ipet : nullptr;
     try {
-      if (options.share_across_techs) {
-        std::vector<UseCaseResult> rs = run_use_case_group(
-            programs[p], names[p], configs[t.config], options.techs,
-            opt_options, &stages, shared, options.audit_soundness);
-        for (std::size_t k = 0; k < rs.size(); ++k) rows[k] = std::move(rs[k]);
-      } else {
-        for (std::size_t k = 0; k < options.techs.size(); ++k)
-          rows[k] = run_use_case(programs[p], names[p], configs[t.config],
-                                 options.techs[k], opt_options, shared);
-      }
+      rows = run_use_case_group(programs[p], names[p], configs[t.config],
+                                options.techs, opt_options, &stages, shared,
+                                options.audit_soundness);
     } catch (const CancelledError& e) {
       fill_rows_failed(t, rows, ErrorCode::kCancelled, "cancelled", e.what());
     } catch (const std::exception& e) {
@@ -1229,10 +1220,14 @@ Sweep run_sweep(const SweepOptions& options) {
 
   // Publish the authoritative row-derived counters, then merge the metrics
   // snapshot into the journal as a comment (skipped on resume, so it never
-  // perturbs checkpointing). An annotation failure is a warning, not a
-  // sweep failure — sinks are observers.
+  // perturbs checkpointing). Only a run that computed rows annotates: a pure
+  // restore adds nothing, so rerunning on a complete journal leaves it
+  // byte-identical instead of growing it by one snapshot per run. An
+  // annotation failure is a warning, not a sweep failure — sinks are
+  // observers.
   publish_sweep_metrics(sweep);
-  if (journal.active() && obs::enabled()) {
+  const bool computed_rows = std::min(next.load(), order.size()) > 0;
+  if (journal.active() && obs::enabled() && computed_rows) {
     const Status annotated = journal.annotate(
         "metrics " + obs::snapshot_json(obs::registry().snapshot()));
     if (!annotated.ok()) reporter.notice("journal", annotated.message());

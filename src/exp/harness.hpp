@@ -176,7 +176,11 @@ std::vector<UseCaseResult> run_use_case_group(
 
 /// The full evaluation grid of the paper: every suite program × the 36
 /// configurations of Table 2 × {45nm, 32nm} = 2664 use cases (or a subset
-/// when `config_stride`/`programs` narrow it). Use cases run in parallel;
+/// when `config_stride`/`programs` narrow it). Each (program,
+/// configuration) pair runs as one task through `run_use_case_group`,
+/// sharing analysis, optimization and simulation across tech nodes with
+/// identical derived timing (bit-identical to per-case `run_use_case`
+/// rows; the equivalence suite compares the two). Tasks run in parallel;
 /// results come back in deterministic grid order.
 struct SweepOptions {
   /// Subset of suite program names; empty = all 37.
@@ -193,12 +197,6 @@ struct SweepOptions {
   /// throughput and ETA, rate-limited to at most one line per second
   /// regardless of thread count.
   std::uint32_t progress_every = 64;
-  /// Process each (program, configuration) pair as one task through
-  /// `run_use_case_group`, sharing analysis/optimization/simulation across
-  /// tech nodes with identical derived timing. Bit-identical results; the
-  /// equivalence suite switches it off to pin that claim against the
-  /// per-case reference path.
-  bool share_across_techs = true;
   /// Crash-safe checkpoint journal. Every finished task appends its rows
   /// (checksummed, fsync'd) before they count as done; a killed sweep
   /// re-opened with the same journal path resumes from the last durable row

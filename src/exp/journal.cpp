@@ -78,11 +78,12 @@ std::string journal_body(const UseCaseResult& r, std::size_t index) {
       << double_bits(r.optimized.energy.total_nj()) << ','
       << r.report.insertions.size() << ',' << r.report.candidates_found
       << ',' << r.report.candidates_evaluated << ',' << r.report.passes
-      << ',' << r.report.full_reanalyses << ','
-      << r.report.incremental_reanalyses << ',' << r.report.nodes_reanalyzed
-      << ',' << solver.lp_solves << ',' << solver.pivots << ','
-      << solver.bb_nodes << ',' << solver.warm_starts << ','
-      << solver.phase1_skipped << ',' << support::escape_cell(r.fail_detail);
+      // Retired full_reanalyses cell: a literal 0 keeps rows byte-identical.
+      << ",0," << r.report.incremental_reanalyses << ','
+      << r.report.nodes_reanalyzed << ',' << solver.lp_solves << ','
+      << solver.pivots << ',' << solver.bb_nodes << ','
+      << solver.warm_starts << ',' << solver.phase1_skipped << ','
+      << support::escape_cell(r.fail_detail);
   return row.str();
 }
 
@@ -146,7 +147,7 @@ bool parse_journal_body(std::string_view body, std::size_t& index,
   // sweeps publish the same exp.sweep.* metrics as an uninterrupted run.
   r.report.candidates_evaluated = static_cast<std::size_t>(u[21]);
   r.report.passes = static_cast<std::size_t>(u[22]);
-  r.report.full_reanalyses = static_cast<std::size_t>(u[23]);
+  // u[23]: the retired full_reanalyses cell, parsed as a number but unused.
   r.report.incremental_reanalyses = static_cast<std::size_t>(u[24]);
   r.report.nodes_reanalyzed = static_cast<std::size_t>(u[25]);
   // The task's summed solver work rides in the report slot so a resumed
@@ -176,7 +177,8 @@ std::string SweepJournal::selection_fingerprint(
   h = fnv1a("stride=" + std::to_string(options.config_stride), h);
   for (const energy::TechNode t : options.techs)
     h = fnv1a(energy::tech_name(t), h);
-  h = fnv1a("share=" + std::to_string(options.share_across_techs), h);
+  // Retired share_across_techs knob: hashed as before to keep fingerprints.
+  h = fnv1a("share=1", h);
   h = fnv1a("attempts=" + std::to_string(options.max_attempts), h);
   h = fnv1a("deadline=" + std::to_string(options.case_deadline_ms), h);
   h = fnv1a("audit=" + std::to_string(options.audit_soundness), h);
@@ -187,7 +189,8 @@ std::string SweepJournal::selection_fingerprint(
       << o.require_acet_non_increase << '/'
       << static_cast<int>(o.accept_rule) << '/' << o.final_audit << '/'
       << o.max_prefetches << '/' << o.max_evaluations << '/' << o.deadline_ms
-      << '/' << o.incremental_reanalysis;
+      // Retired incremental_reanalysis knob: hashed as before, like share=1.
+      << "/1";
   h = fnv1a(opt.str(), h);
   return hex16(h);
 }

@@ -254,7 +254,9 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         verdict.note = std::string("generator: ") + e.what();
       }
     }
-    fault::disarm_all();
+    // Disarm only what this case armed: a site the caller armed for the
+    // whole campaign (say, a journal write fault) must outlive the case.
+    if (!verdict.fault_site.empty()) fault::disarm(verdict.fault_site);
 
     if (verdict.violated()) {
       // (unexplained/violation totals are recomputed over all verdicts at

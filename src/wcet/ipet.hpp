@@ -65,8 +65,9 @@ struct IpetOptions {
   /// Run the exact ILP presolve (ilp::Presolve, DESIGN.md §14) on the
   /// constraint system before snapshotting the sparse LP. Every reduction
   /// is objective-independent and exact, so solves return the same optimal
-  /// objective either way; off is the legacy path, kept as the
-  /// differential oracle for the equivalence suite.
+  /// objective either way (the optimal flow may differ where the LP has
+  /// alternative optima). Production always presolves; off is a test-only
+  /// reference, used by the equivalence suite and bench_micro_components.
   bool presolve = true;
 };
 
@@ -102,10 +103,9 @@ class IpetSystem {
     return presolve_ ? &*presolve_ : nullptr;
   }
 
-  /// Dimensions of the system the simplex actually factorizes (post-presolve
-  /// when engaged) — the scaling bench reports the reduction.
+  /// Rows of the system the simplex actually factorizes (post-presolve when
+  /// engaged) — the scaling bench reports the reduction.
   std::size_t lp_rows() const { return lp_.num_rows(); }
-  std::size_t lp_cols() const { return lp_.num_structural(); }
 
   /// Folds the one-time construction cost into an aggregate: adds the
   /// construction pivots and retracts one phase1_skipped credit (the first

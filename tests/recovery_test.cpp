@@ -3,11 +3,13 @@
 // durable row and reproduces the uninterrupted result set bit-identically;
 // torn tails and stale checkpoints are truncated or reset, never trusted;
 // a journal write failure disables checkpointing but not the sweep; the
-// retry ladder recovers supervisor cancellations; and an auditor violation
-// quarantines deterministically. The same record-log guarantees are pinned
+// retry ladder recovers supervisor cancellations; an auditor violation
+// quarantines deterministically; and only a sweep that computed rows
+// annotates its journal, so a pure restore leaves it byte-identical. The same record-log guarantees are pinned
 // for the daemon's request journal and the fuzz campaign journal: a foreign
-// file is refused untouched, a write failure closes the log with a note, and
-// a kill mid-append keeps every earlier row.
+// file is refused untouched, a write failure closes the log with a note
+// (for the campaign journal also when the caller arms the fault around a
+// whole campaign), and a kill mid-append keeps every earlier row.
 
 #include <gtest/gtest.h>
 #include <sys/types.h>
@@ -25,6 +27,7 @@
 #include "exp/harness.hpp"
 #include "exp/journal.hpp"
 #include "fuzz/campaign.hpp"
+#include "obs/metrics.hpp"
 #include "serve/request_journal.hpp"
 #include "support/fault_injection.hpp"
 
@@ -152,6 +155,46 @@ TEST(Recovery, CompleteJournalResumesEveryRow) {
             sweep_results_fingerprint(first.results));
 }
 
+std::size_t metrics_annotations(const std::string& contents) {
+  std::size_t n = 0;
+  for (std::size_t at = 0; at < contents.size();) {
+    if (contents.compare(at, 10, "# metrics ") == 0) ++n;
+    const std::size_t eol = contents.find('\n', at);
+    if (eol == std::string::npos) break;
+    at = eol + 1;
+  }
+  return n;
+}
+
+TEST(Recovery, MetricsAnnotationOnlyWhenRowsWereComputed) {
+  TempFile journal("recovery_metrics_journal");
+  fault::disarm_all();
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  ASSERT_TRUE(run_sweep(journaled_sweep(journal.path)).report.clean());
+  const std::string complete = read_file(journal.path);
+  EXPECT_EQ(metrics_annotations(complete), 1u);
+
+  // A pure restore computes nothing and leaves the journal byte-identical.
+  const Sweep restored = run_sweep(journaled_sweep(journal.path));
+  EXPECT_EQ(restored.report.resumed_rows, restored.report.total);
+  EXPECT_EQ(read_file(journal.path), complete);
+
+  // Drop the first row (the line after the header): the resume recomputes
+  // that one task and appends its row plus exactly one annotation.
+  const std::size_t row_start = complete.find('\n') + 1;
+  const std::size_t row_end = complete.find('\n', row_start) + 1;
+  ASSERT_EQ(complete.compare(row_start, 4, "row,"), 0);
+  std::string holed = complete;
+  holed.erase(row_start, row_end - row_start);
+  std::ofstream(journal.path, std::ios::binary | std::ios::trunc) << holed;
+  const Sweep resumed = run_sweep(journaled_sweep(journal.path));
+  obs::set_enabled(was_enabled);
+  EXPECT_TRUE(resumed.report.clean());
+  EXPECT_EQ(resumed.report.resumed_rows + 1, resumed.report.total);
+  EXPECT_EQ(metrics_annotations(read_file(journal.path)), 2u);
+}
+
 TEST(Recovery, StaleSelectionFingerprintResetsJournal) {
   TempFile journal("recovery_stale_journal");
   fault::disarm_all();
@@ -265,6 +308,22 @@ TEST(Recovery, WriteFaultClosesEveryJournalWithANote) {
   EXPECT_FALSE(campaign_journal.active());
   EXPECT_NE(campaign_journal.note().find("disabled"), std::string::npos)
       << campaign_journal.note();
+}
+
+TEST(Recovery, CallerArmedWriteFaultReachesTheCampaignJournal) {
+  // A site the caller armed for the whole campaign outlives the cases (which
+  // disarm only the sites they arm themselves), so the first journal append
+  // fails and the campaign journal closes with a note; the cases still run.
+  fault::disarm_all();
+  TempFile journal("recovery_campaign_wfault");
+  fault::arm("io.journal_write");
+  const fuzz::CampaignResult campaign =
+      fuzz::run_campaign(tiny_campaign(journal.path));
+  fault::disarm_all();
+  EXPECT_EQ(campaign.verdicts.size(), 3u);
+  EXPECT_NE(campaign.journal_note.find("journaling disabled"),
+            std::string::npos)
+      << campaign.journal_note;
 }
 
 TEST(Recovery, RequestJournalKillMidAppendKeepsEarlierResponses) {
