@@ -86,16 +86,21 @@ void BM_AbstractSetJoinMay(benchmark::State& state) {
 BENCHMARK(BM_AbstractSetJoinMay)->Arg(2)->Arg(4);
 
 void BM_AbstractCacheCopy(benchmark::State& state) {
-  // The dominant constant of the fixpoint: propagating a state along an
-  // edge copies the whole abstract cache. kConfig (2-way, 32 sets) matches
-  // the mid-grid working state; fill every set so the copy moves real data.
-  analysis::AbstractCache cache(kConfig);
-  for (cache::MemBlockId b = 0; b < 2u * kConfig.num_sets(); ++b) {
+  // The dominant constant of the fixpoint: a transfer copies the in-state
+  // and then writes the few sets its block touches. On a 512-set state
+  // (k31: direct-mapped, 16-byte blocks, 8 KiB, the grid's largest set
+  // count) with every set filled, copy-then-first-write clones one chunk
+  // of sets, not the whole state.
+  const cache::CacheConfig big{1, 16, 8192};
+  analysis::AbstractCache cache(big);
+  for (cache::MemBlockId b = 0; b < 2u * big.num_sets(); ++b) {
     cache.update_must(b);
     cache.update_may(b);
   }
+  cache::MemBlockId next = 0;
   for (auto _ : state) {
     analysis::AbstractCache copy = cache;
+    copy.update_must(next++);
     benchmark::DoNotOptimize(copy.num_sets());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

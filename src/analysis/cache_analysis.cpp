@@ -64,11 +64,27 @@ void apply_instruction(MustMay& state, const ir::Instruction& instr,
 
 namespace {
 
+/// Applies `bb` to `in` and records, in `cls`, each fetch's classification
+/// against the state it meets. Called on a node's final in-state, the row is
+/// final too: the fixpoint re-runs a node's transfer after every change to
+/// its in-state, so the last transfer of each node writes its row.
 MustMay transfer_block(const MustMay& in, const ir::BasicBlock& bb,
-                       const ir::Layout& layout) {
+                       const ir::Layout& layout,
+                       std::vector<Classification>& cls) {
   MustMay out = in;
-  for (const ir::Instruction& instr : bb.instrs)
+  cls.clear();
+  cls.reserve(bb.instrs.size());
+  for (const ir::Instruction& instr : bb.instrs) {
+    const MemBlockId own = layout.mem_block(instr.id);
+    Classification c = Classification::kNotClassified;
+    if (out.must.must_contain(own)) {
+      c = Classification::kAlwaysHit;
+    } else if (!out.may.may_contain(own)) {
+      c = Classification::kAlwaysMiss;
+    }
+    cls.push_back(c);
     apply_instruction(out, instr, layout);
+  }
   return out;
 }
 
@@ -85,25 +101,6 @@ bool merge_in(MustMay& in, bool& has_in, const MustMay& contrib) {
   const bool must_changed = in.must.join_must_with(contrib.must);
   const bool may_changed = in.may.join_may_with(contrib.may);
   return must_changed || may_changed;
-}
-
-void classify_block(const MustMay& in, const ir::BasicBlock& bb,
-                    const ir::Layout& layout,
-                    std::vector<Classification>& cls) {
-  MustMay state = in;
-  cls.clear();
-  cls.reserve(bb.instrs.size());
-  for (const ir::Instruction& instr : bb.instrs) {
-    const MemBlockId own = layout.mem_block(instr.id);
-    Classification c = Classification::kNotClassified;
-    if (state.must.must_contain(own)) {
-      c = Classification::kAlwaysHit;
-    } else if (!state.may.may_contain(own)) {
-      c = Classification::kAlwaysMiss;
-    }
-    cls.push_back(c);
-    apply_instruction(state, instr, layout);
-  }
 }
 
 /// Hash-consing table for converged-enough abstract states: canonicalizes a
@@ -157,6 +154,7 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
   const MustMay empty{AbstractCache(config), AbstractCache(config)};
   result.in_states.assign(n, empty);
   result.out_states.assign(n, empty);
+  result.per_node.assign(n, {});
 
   std::vector<bool> has_in(n, false);
   has_in[graph.entry_node()] = true;  // cold cache at program start
@@ -189,7 +187,8 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
       if (!has_in[id]) continue;  // no predecessor state yet
 
       const ir::BasicBlock& bb = program.block(graph.node(id).block);
-      MustMay out = transfer_block(result.in_states[id], bb, layout);
+      MustMay out = transfer_block(result.in_states[id], bb, layout,
+                                   result.per_node[id]);
       // Any non-empty block caches its own memory blocks, so a freshly
       // computed out-state never equals the empty initializer; an unchanged
       // out-state therefore means successors already merged it.
@@ -235,7 +234,8 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
       if (!has_in[id]) return;  // no predecessor state yet
 
       const ir::BasicBlock& bb = program.block(graph.node(id).block);
-      MustMay out = transfer_block(result.in_states[id], bb, layout);
+      MustMay out = transfer_block(result.in_states[id], bb, layout,
+                                   result.per_node[id]);
       deduped += interner.intern(out.must) ? 1 : 0;
       deduped += interner.intern(out.may) ? 1 : 0;
       // Canonicalized states make this a pointer compare on the hot
@@ -303,12 +303,10 @@ CacheAnalysisResult analyze_cache(const ContextGraph& graph,
     g_peak.set_max(static_cast<std::int64_t>(peak_worklist));
   }
 
-  // Final classification pass with the converged states.
-  result.per_node.assign(n, {});
-  for (NodeId id = 0; id < n; ++id) {
-    const ir::BasicBlock& bb = program.block(graph.node(id).block);
-    classify_block(result.in_states[id], bb, layout, result.per_node[id]);
-  }
+  // Every node is reachable from the entry, so each one received an
+  // in-state and its last transfer wrote its classification row.
+  UCP_CHECK_MSG(std::find(has_in.begin(), has_in.end(), false) == has_in.end(),
+                "context node left without an in-state");
   return result;
 }
 
@@ -409,6 +407,7 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
   const MustMay empty{AbstractCache(config_), AbstractCache(config_)};
   t.in_states.assign(m, empty);
   t.out_states.assign(m, empty);
+  t.cls.resize(m);
   std::vector<std::uint8_t> has_in(m, 0);
   std::vector<std::uint8_t> has_out(m, 0);
 
@@ -449,7 +448,7 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
     if (!has_in[i]) continue;
 
     const ir::BasicBlock& bb = trial.block(graph_->node(v).block);
-    MustMay out = transfer_block(t.in_states[i], bb, t.layout);
+    MustMay out = transfer_block(t.in_states[i], bb, t.layout, t.cls[i]);
     if (has_out[i] && out == t.out_states[i]) continue;
     t.out_states[i] = std::move(out);
     has_out[i] = 1;
@@ -467,11 +466,10 @@ IncrementalCacheAnalysis::TrialResult IncrementalCacheAnalysis::analyze_trial(
     }
   }
 
-  t.cls.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const ir::BasicBlock& bb = trial.block(graph_->node(t.affected[i]).block);
-    classify_block(t.in_states[i], bb, t.layout, t.cls[i]);
-  }
+  // Each affected node is reached from the entry through the boundary seed
+  // or another affected node, so every one was transferred.
+  UCP_CHECK_MSG(std::find(has_in.begin(), has_in.end(), 0) == has_in.end(),
+                "affected node left without an in-state");
   return t;
 }
 

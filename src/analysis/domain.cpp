@@ -120,21 +120,8 @@ bool AbstractSet::join_must_with(const AbstractSet& other) {
 bool AbstractSet::join_may_with(const AbstractSet& other) {
   UCP_REQUIRE(assoc_ == other.assoc_,
               "joining sets of different associativity");
-  // Fast path: the union adds nothing and lowers no age — detect without
-  // writing, since in a converging fixpoint most joins are no-ops.
-  bool grows = false;
-  {
-    auto ia = entries_.begin();
-    for (const AgedBlock& eb : other.entries_) {
-      while (ia != entries_.end() && ia->block < eb.block) ++ia;
-      if (ia == entries_.end() || ia->block != eb.block ||
-          eb.age < ia->age) {
-        grows = true;
-        break;
-      }
-    }
-  }
-  if (!grows) return false;
+  // Fast path: in a converging fixpoint most joins are no-ops.
+  if (!join_may_changes(other)) return false;
 
   SmallVector<AgedBlock, kInlineEntries> merged;
   auto ia = entries_.begin();
@@ -155,6 +142,31 @@ bool AbstractSet::join_may_with(const AbstractSet& other) {
   return true;
 }
 
+bool AbstractSet::join_must_changes(const AbstractSet& other) const {
+  // The intersection keeps every entry unchanged iff each one is present in
+  // `other` with an age no older than its own.
+  auto ib = other.entries_.begin();
+  for (const AgedBlock& e : entries_) {
+    while (ib != other.entries_.end() && ib->block < e.block) ++ib;
+    if (ib == other.entries_.end() || ib->block != e.block || ib->age > e.age)
+      return true;
+    ++ib;
+  }
+  return false;
+}
+
+bool AbstractSet::join_may_changes(const AbstractSet& other) const {
+  // The union adds nothing and lowers no age iff every entry of `other` is
+  // already present with an age no younger than its own.
+  auto ia = entries_.begin();
+  for (const AgedBlock& eb : other.entries_) {
+    while (ia != entries_.end() && ia->block < eb.block) ++ia;
+    if (ia == entries_.end() || ia->block != eb.block || eb.age < ia->age)
+      return true;
+  }
+  return false;
+}
+
 std::string AbstractSet::to_string() const {
   std::ostringstream os;
   os << "{";
@@ -170,22 +182,32 @@ AbstractCache::AbstractCache(const cache::CacheConfig& config) {
   config.validate();
   UCP_REQUIRE(config.assoc <= 255, "associativity too large for age domain");
   set_mask_ = config.num_sets() - 1;
+  // Every chunk of a fresh state holds the same (empty) sets, so all of its
+  // pointers can alias one chunk until the first write.
+  auto empty = std::make_shared<Chunk>();
+  empty->sets.fill(AbstractSet(static_cast<std::uint8_t>(config.assoc)));
   payload_ = std::make_shared<Payload>();
-  payload_->sets.assign(config.num_sets(),
-                        AbstractSet(static_cast<std::uint8_t>(config.assoc)));
+  payload_->chunks.assign((num_sets() + kChunkSets - 1) / kChunkSets, empty);
 }
 
 const AbstractSet& AbstractCache::set_at(std::uint32_t index) const {
-  UCP_REQUIRE(index < payload_->sets.size(), "set index out of range");
-  return payload_->sets[index];
+  UCP_REQUIRE(index < num_sets(), "set index out of range");
+  return set_ref(index);
+}
+
+AbstractCache::Chunk& AbstractCache::mutable_chunk(std::size_t c) {
+  if (payload_.use_count() != 1)
+    payload_ = std::make_shared<Payload>(*payload_);
+  std::shared_ptr<Chunk>& chunk = payload_->chunks[c];
+  if (chunk.use_count() != 1) chunk = std::make_shared<Chunk>(*chunk);
+  return *chunk;
 }
 
 namespace {
 
 void require_same_geometry(const AbstractCache& a, const AbstractCache& b) {
   UCP_REQUIRE(a.num_sets() == b.num_sets() &&
-                  (a.num_sets() == 0 ||
-                   a.set_at(0).assoc() == b.set_at(0).assoc()),
+                  a.set_at(0).assoc() == b.set_at(0).assoc(),
               "joining caches of different geometry");
 }
 
@@ -207,25 +229,61 @@ AbstractCache AbstractCache::join_may(const AbstractCache& a,
   return out;
 }
 
-bool AbstractCache::join_must_with(const AbstractCache& other) {
+template <typename Changes, typename Join>
+bool AbstractCache::join_with(const AbstractCache& other, Changes changes,
+                              Join join) {
   require_same_geometry(*this, other);
   if (payload_ == other.payload_) return false;  // join(x, x) = x
-  detach();
-  // detach() copies when shared, so `other` can never alias payload_ here.
+  const std::uint32_t per_chunk = chunk_sets();
   bool changed = false;
-  for (std::size_t i = 0; i < payload_->sets.size(); ++i)
-    changed |= payload_->sets[i].join_must_with(other.payload_->sets[i]);
+  for (std::size_t c = 0; c < payload_->chunks.size(); ++c) {
+    const Chunk& theirs = *other.payload_->chunks[c];
+    if (payload_->chunks[c].get() == &theirs) continue;
+    // Probe before writing: sets ahead of the first changing one keep
+    // their content, and a chunk with no changing set is never cloned.
+    std::uint32_t k = 0;
+    while (k < per_chunk && !changes(payload_->chunks[c]->sets[k],
+                                     theirs.sets[k]))
+      ++k;
+    if (k == per_chunk) continue;
+    // `theirs` stays alive through `other` while this chunk detaches.
+    Chunk& mine = mutable_chunk(c);
+    for (; k < per_chunk; ++k) join(mine.sets[k], theirs.sets[k]);
+    changed = true;
+  }
   return changed;
 }
 
+bool AbstractCache::join_must_with(const AbstractCache& other) {
+  return join_with(
+      other,
+      [](const AbstractSet& a, const AbstractSet& b) {
+        return a.join_must_changes(b);
+      },
+      [](AbstractSet& a, const AbstractSet& b) { a.join_must_with(b); });
+}
+
 bool AbstractCache::join_may_with(const AbstractCache& other) {
-  require_same_geometry(*this, other);
-  if (payload_ == other.payload_) return false;  // join(x, x) = x
-  detach();
-  bool changed = false;
-  for (std::size_t i = 0; i < payload_->sets.size(); ++i)
-    changed |= payload_->sets[i].join_may_with(other.payload_->sets[i]);
-  return changed;
+  return join_with(
+      other,
+      [](const AbstractSet& a, const AbstractSet& b) {
+        return a.join_may_changes(b);
+      },
+      [](AbstractSet& a, const AbstractSet& b) { a.join_may_with(b); });
+}
+
+bool operator==(const AbstractCache& a, const AbstractCache& b) {
+  if (a.set_mask_ != b.set_mask_) return false;
+  if (a.payload_ == b.payload_) return true;
+  const std::uint32_t per_chunk = a.chunk_sets();
+  for (std::size_t c = 0; c < a.payload_->chunks.size(); ++c) {
+    const AbstractCache::Chunk& x = *a.payload_->chunks[c];
+    const AbstractCache::Chunk& y = *b.payload_->chunks[c];
+    if (&x == &y) continue;
+    for (std::uint32_t k = 0; k < per_chunk; ++k)
+      if (!(x.sets[k] == y.sets[k])) return false;
+  }
+  return true;
 }
 
 std::uint64_t AbstractCache::content_hash() const {
@@ -234,7 +292,8 @@ std::uint64_t AbstractCache::content_hash() const {
     h ^= v;
     h *= 1099511628211ull;
   };
-  for (const AbstractSet& s : payload_->sets) {
+  for (std::uint32_t i = 0; i < num_sets(); ++i) {
+    const AbstractSet& s = set_ref(i);
     mix(s.size() + 0x9e3779b97f4a7c15ull);
     for (const AgedBlock& e : s.entries()) {
       mix(e.block);
@@ -246,9 +305,9 @@ std::uint64_t AbstractCache::content_hash() const {
 
 std::string AbstractCache::to_string() const {
   std::ostringstream os;
-  for (std::size_t i = 0; i < payload_->sets.size(); ++i) {
-    if (payload_->sets[i].size() == 0) continue;
-    os << "set" << i << " " << payload_->sets[i].to_string() << "\n";
+  for (std::uint32_t i = 0; i < num_sets(); ++i) {
+    if (set_ref(i).size() == 0) continue;
+    os << "set" << i << " " << set_ref(i).to_string() << "\n";
   }
   return os.str();
 }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -64,6 +66,11 @@ class AbstractSet {
   bool join_must_with(const AbstractSet& other);
   bool join_may_with(const AbstractSet& other);
 
+  /// Read-only probes: true iff the matching in-place join would change
+  /// *this. They let a copy-on-write owner skip cloning for no-op joins.
+  bool join_must_changes(const AbstractSet& other) const;
+  bool join_may_changes(const AbstractSet& other) const;
+
   friend bool operator==(const AbstractSet&, const AbstractSet&) = default;
 
   std::string to_string() const;
@@ -79,35 +86,40 @@ class AbstractSet {
 /// c-hat : L -> P(S). Geometry (set count, associativity, set mapping) is
 /// borrowed from a shared CacheConfig instead of copied per state.
 ///
-/// The set vector lives behind a refcounted copy-on-write payload: copying a
-/// state (worklist seeding, incremental-trial boundary snapshots, interning)
-/// bumps a refcount instead of cloning age vectors, and every mutator
-/// detaches first. Pointer equality of payloads is both a free equality
-/// witness and a join fast path (`join(x, x) = x`), which is what makes the
-/// hash-consing in the fixpoint driver pay off — identical states collapse
-/// to one allocation and compare in O(1).
+/// Storage is copy-on-write at two levels. The state holds a refcounted
+/// payload, a pointer array over refcounted chunks of `kChunkSets`
+/// consecutive sets (a config with fewer sets has one partial chunk).
+/// Copying a state bumps one refcount. A write detaches the pointer array
+/// (one refcount bump per chunk) and then clones only the chunk it touches,
+/// so a basic block that touches two sets of a 512-set cache pays for two
+/// chunks, not for 512 sets. Joins and `operator==` skip chunks whose
+/// pointers are equal, and a join that would leave a chunk unchanged probes
+/// first and never clones it, so no-op joins keep sharing storage. Payload
+/// pointer equality is both a free equality witness and a join fast path
+/// (`join(x, x) = x`), which is what makes the hash-consing in the fixpoint
+/// driver pay off — identical states collapse to one allocation and compare
+/// in O(1).
 class AbstractCache {
  public:
+  /// Sets per copy-on-write chunk: the unit a write clones.
+  static constexpr std::uint32_t kChunkSets = 16;
+
   explicit AbstractCache(const cache::CacheConfig& config);
 
-  std::uint32_t num_sets() const {
-    return static_cast<std::uint32_t>(payload_->sets.size());
-  }
+  std::uint32_t num_sets() const { return set_mask_ + 1; }
   std::uint32_t set_index_of(MemBlockId block) const {
     return block & set_mask_;
   }
   const AbstractSet& set_for_block(MemBlockId block) const {
-    return payload_->sets[set_index_of(block)];
+    return set_ref(set_index_of(block));
   }
   const AbstractSet& set_at(std::uint32_t index) const;
 
   void update_must(MemBlockId block) {
-    detach();
-    payload_->sets[set_index_of(block)].update_must(block);
+    mutable_set(set_index_of(block)).update_must(block);
   }
   void update_may(MemBlockId block) {
-    detach();
-    payload_->sets[set_index_of(block)].update_may(block);
+    mutable_set(set_index_of(block)).update_may(block);
   }
   bool must_contain(MemBlockId block) const {
     return set_for_block(block).contains(block);
@@ -122,7 +134,8 @@ class AbstractCache {
 
   /// In-place accumulating joins; *this becomes join(*this, other). Returns
   /// true iff any set changed. Joining a state with itself (shared payload)
-  /// is a pointer compare — the dominant reconvergence case under interning.
+  /// is a pointer compare — the dominant reconvergence case under interning
+  /// — and only chunks the join changes are cloned.
   bool join_must_with(const AbstractCache& other);
   bool join_may_with(const AbstractCache& other);
 
@@ -131,25 +144,36 @@ class AbstractCache {
     return payload_ == other.payload_;
   }
 
-  /// FNV-1a over the entry lists; the hash-consing key of the fixpoint's
-  /// state interner (deep equality confirms on collision).
+  /// FNV-1a over the entry lists in set order; the hash-consing key of the
+  /// fixpoint's state interner (deep equality confirms on collision).
   std::uint64_t content_hash() const;
 
-  friend bool operator==(const AbstractCache& a, const AbstractCache& b) {
-    return a.set_mask_ == b.set_mask_ &&
-           (a.payload_ == b.payload_ || a.payload_->sets == b.payload_->sets);
-  }
+  friend bool operator==(const AbstractCache& a, const AbstractCache& b);
 
   std::string to_string() const;
 
  private:
-  struct Payload {
-    std::vector<AbstractSet> sets;
+  struct Chunk {
+    std::array<AbstractSet, kChunkSets> sets;
   };
-  void detach() {
-    if (payload_.use_count() != 1)
-      payload_ = std::make_shared<Payload>(*payload_);
+  struct Payload {
+    std::vector<std::shared_ptr<Chunk>> chunks;
+  };
+
+  /// Sets in use per chunk: kChunkSets, or fewer for a single partial chunk.
+  std::uint32_t chunk_sets() const {
+    return std::min(num_sets(), kChunkSets);
   }
+  const AbstractSet& set_ref(std::uint32_t index) const {
+    return payload_->chunks[index / kChunkSets]->sets[index % kChunkSets];
+  }
+  /// Detaches the pointer array, then chunk `c`, and returns it writable.
+  Chunk& mutable_chunk(std::size_t c);
+  AbstractSet& mutable_set(std::uint32_t index) {
+    return mutable_chunk(index / kChunkSets).sets[index % kChunkSets];
+  }
+  template <typename Changes, typename Join>
+  bool join_with(const AbstractCache& other, Changes changes, Join join);
 
   std::uint32_t set_mask_ = 0;  ///< num_sets - 1 (power of two)
   std::shared_ptr<Payload> payload_;

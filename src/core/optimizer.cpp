@@ -219,6 +219,8 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
   // Candidates already tried (accepted or rejected), keyed by
   // (evictor, target) — identical physical insertions are not retried.
   std::set<std::pair<ir::InstrId, ir::InstrId>> tried;
+  // Condition-3 baseline: the concrete run of the current base program `p`.
+  std::optional<sim::RunMetrics> acet_base;
 
   for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
     if (cancelled()) return result;
@@ -233,8 +235,11 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
     // Re-derive the WCET path against the current program. The incremental
     // engine already holds the converged analysis of `p` (promoted on every
     // acceptance), so no fresh fixpoint is needed.
-    const WcetPath path = build_wcet_path(graph, p, incr.layout(), config,
-                                          timing, incr.result(), wcet0);
+    const WcetPath path = [&] {
+      obs::Span path_span("core.optimizer.wcet_path");
+      return build_wcet_path(graph, p, incr.layout(), config, timing,
+                             incr.result(), wcet0);
+    }();
 
     // Collect candidates: replaced-block misses on the WCET path, visited
     // in reverse execution order as Algorithm 3 prescribes.
@@ -291,6 +296,7 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
       std::int64_t profit = std::numeric_limits<std::int64_t>::min();
       ir::InstrId pf = ir::kInvalidInstr;
       for (int variant = 0; variant < 2; ++variant) {
+        obs::Span trial_span("core.optimizer.trial");
         ir::Program trial = p;
         const ir::Program::InstrLocation loc = trial.locate(c.evictor);
         const ir::InstrId inserted =
@@ -350,26 +356,32 @@ OptimizationResult optimize_prefetches(const ir::Program& input,
       }
 
       // Condition 3 (Section 2.3): the average case may not get slower.
-      // Cheap here — candidates reaching this point are rare and the
-      // concrete runs take microseconds.
+      // The base program's run is simulated once per accepted base and
+      // reused by every candidate until the next acceptance; a failed run
+      // is not kept, so the next candidate retries it as before.
       if (options.require_acet_non_increase) {
-        const Expected<sim::RunMetrics> acet_before =
-            sim::run_program_checked(p, config, timing);
+        obs::Span acet_span("core.optimizer.acet_check");
+        if (!acet_base) {
+          Expected<sim::RunMetrics> before =
+              sim::run_program_checked(p, config, timing);
+          if (before.ok()) acet_base = *before;
+        }
         const Expected<sim::RunMetrics> acet_after =
             sim::run_program_checked(best_trial, config, timing);
-        if (!acet_before.ok() || !acet_after.ok()) {
+        if (!acet_base || !acet_after.ok()) {
           // A run that blows its budget cannot prove Condition 3; reject
           // the candidate rather than the whole optimization.
           ++report.rejected_acet;
           continue;
         }
-        if (acet_after->mem_cycles > acet_before->mem_cycles) {
+        if (acet_after->mem_cycles > acet_base->mem_cycles) {
           ++report.rejected_acet;
           continue;
         }
       }
 
       p = std::move(best_trial);
+      acet_base.reset();
       // Fold the accepted trial into the base analysis and refresh the
       // affected nodes' τ contributions (the affected id list survives the
       // move — promote consumes only the state payloads).

@@ -2,9 +2,13 @@
 
 #include <thread>
 
-// The stamp macros are injected per-source-file by src/obs/CMakeLists.txt;
-// the fallbacks keep non-CMake builds (and tooling that compiles this file
-// standalone) compiling with an honest "unknown".
+// The commit comes from the header src/obs/git_sha.cmake generates at build
+// time; the other stamp macros are injected per-source-file by
+// src/obs/CMakeLists.txt. The fallbacks keep non-CMake builds (and tooling
+// that compiles this file standalone) compiling with an honest "unknown".
+#if __has_include("ucp_git_sha.h")
+#include "ucp_git_sha.h"
+#endif
 #ifndef UCP_GIT_SHA
 #define UCP_GIT_SHA "unknown"
 #endif

@@ -14,7 +14,8 @@ namespace ucp::obs {
 /// Configure/compile-time facts about this binary. Every field is a plain
 /// string so the stamp can be embedded verbatim in any JSON artifact.
 struct BuildInfo {
-  std::string git_sha;    ///< `git rev-parse --short` at configure time
+  std::string git_sha;    ///< `git rev-parse --short` at build time, plus
+                          ///< "-dirty" for an uncommitted tree
   std::string compiler;   ///< compiler id + version (e.g. "GNU 13.2.0")
   std::string flags;      ///< CMAKE_CXX_FLAGS + build-type flags
   std::string build_type; ///< CMAKE_BUILD_TYPE

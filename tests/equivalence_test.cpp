@@ -123,6 +123,43 @@ std::vector<std::uint8_t> expected_affected(
   return affected;
 }
 
+/// The classification walk the analysis no longer runs after its fixpoint:
+/// replays `bb` from the converged in-state `in` and classifies each fetch
+/// against the state it meets. Production emits the same rows from the
+/// transfers that produced the fixpoint; this is the independent check.
+std::vector<analysis::Classification> classify_from_in_state(
+    const analysis::MustMay& in, const ir::BasicBlock& bb,
+    const ir::Layout& layout) {
+  analysis::MustMay state = in;
+  std::vector<analysis::Classification> row;
+  for (const ir::Instruction& instr : bb.instrs) {
+    const cache::MemBlockId own = layout.mem_block(instr.id);
+    row.push_back(state.must.must_contain(own)
+                      ? analysis::Classification::kAlwaysHit
+                  : !state.may.may_contain(own)
+                      ? analysis::Classification::kAlwaysMiss
+                      : analysis::Classification::kNotClassified);
+    analysis::apply_instruction(state, instr, layout);
+  }
+  return row;
+}
+
+/// Every node's classification row must equal the walk from its in-state.
+void expect_rows_match_in_states(const analysis::ContextGraph& graph,
+                                 const ir::Program& program,
+                                 const ir::Layout& layout,
+                                 const analysis::CacheAnalysisResult& r,
+                                 const std::string& what) {
+  ASSERT_EQ(r.per_node.size(), graph.num_nodes()) << what;
+  std::size_t bad = 0;
+  for (analysis::NodeId v = 0; v < graph.num_nodes(); ++v)
+    if (r.per_node[v] != classify_from_in_state(
+                             r.in_states[v],
+                             program.block(graph.node(v).block), layout))
+      ++bad;
+  EXPECT_EQ(bad, 0u) << what << ": rows differ from their in-state walks";
+}
+
 /// Deep comparison of a sparse trial against a from-scratch analysis of the
 /// trial program. The trial must re-analyze exactly the contexts its edit
 /// can reach from the current base (no more: a wider set would hide a stale
@@ -147,11 +184,16 @@ void expect_trial_matches_scratch(
       analysis::analyze_cache(graph, trial, layout, config);
   const analysis::CacheAnalysisResult& base_result = incr.result();
   std::size_t bad_affected = 0;
+  std::size_t bad_rows = 0;
   for (std::size_t i = 0; i < t.affected.size(); ++i) {
     const analysis::NodeId v = t.affected[i];
     if (t.cls[i] != ref.per_node[v] || !(t.in_states[i] == ref.in_states[v]) ||
         !(t.out_states[i] == ref.out_states[v]))
       ++bad_affected;
+    if (t.cls[i] != classify_from_in_state(t.in_states[i],
+                                           trial.block(graph.node(v).block),
+                                           layout))
+      ++bad_rows;
   }
   std::size_t bad_unaffected = 0;
   for (analysis::NodeId v = 0; v < graph.num_nodes(); ++v) {
@@ -162,6 +204,8 @@ void expect_trial_matches_scratch(
       ++bad_unaffected;
   }
   EXPECT_EQ(bad_affected, 0u) << what << ": affected nodes differ";
+  EXPECT_EQ(bad_rows, 0u) << what
+                          << ": trial rows differ from their in-state walks";
   EXPECT_EQ(bad_unaffected, 0u)
       << what << ": nodes outside the affected set differ";
 }
@@ -187,6 +231,8 @@ void check_incremental_against_scratch(const ir::Program& input,
   const analysis::ContextGraph graph(input);
   const wcet::IpetSystem ipet(graph);
   analysis::IncrementalCacheAnalysis incr(graph, input, config);
+  expect_rows_match_in_states(graph, input, incr.layout(), incr.result(),
+                              what + " base");
   const wcet::WcetResult wcet0 = ipet.solve(incr.result(), timing);
   ASSERT_TRUE(wcet0.ok()) << what;
 
@@ -240,6 +286,7 @@ void check_incremental_against_scratch(const ir::Program& input,
     EXPECT_EQ(incr.result().per_node, fresh.per_node) << at;
     EXPECT_EQ(incr.result().in_states, fresh.in_states) << at;
     EXPECT_EQ(incr.result().out_states, fresh.out_states) << at;
+    expect_rows_match_in_states(graph, p, incr.layout(), incr.result(), at);
   }
 
   // The optimizer's τ bookkeeping end to end: its fixed-counts τ of the
@@ -285,7 +332,7 @@ TEST(Equivalence, IncrementalTrialsMatchFromScratchOnCorpusRepros) {
   ASSERT_FALSE(corpus.empty()) << "no committed corpus under " UCP_CORPUS_DIR;
   OracleStats stats;
   for (const fuzz::CorpusEntry& entry : corpus) {
-    for (const std::string cfg :
+    for (const std::string& cfg :
          {entry.config_id, std::string("k1"), std::string("k2"),
           std::string("k3"), std::string("k4"), std::string("k5"),
           std::string("k6")}) {
@@ -304,9 +351,9 @@ TEST(Equivalence, IncrementalTrialsMatchFromScratchOnCorpusRepros) {
 TEST(Equivalence, GroupPathMatchesPerCaseRows) {
   const std::vector<energy::TechNode> techs = {energy::TechNode::k45nm,
                                                energy::TechNode::k32nm};
-  for (const std::string& name : {"bs", "fdct", "crc"}) {
+  for (const std::string name : {"bs", "fdct", "crc"}) {
     const ir::Program p = suite::build_benchmark(name);
-    for (const std::string& cfg : {"k1", "k25"}) {
+    for (const std::string cfg : {"k1", "k25"}) {
       const auto& k = cache::paper_cache_config(cfg);
       const std::vector<UseCaseResult> grouped =
           run_use_case_group(p, name, k, techs);
@@ -551,6 +598,10 @@ void expect_fixpoints_equal(const analysis::ContextGraph& graph,
   EXPECT_EQ(sparse.per_node, legacy.per_node) << what;
   EXPECT_EQ(sparse.in_states, legacy.in_states) << what;
   EXPECT_EQ(sparse.out_states, legacy.out_states) << what;
+  expect_rows_match_in_states(graph, graph.program(), layout, sparse,
+                              what + " scc-sparse");
+  expect_rows_match_in_states(graph, graph.program(), layout, legacy,
+                              what + " global-worklist");
 }
 
 TEST(Equivalence, SccSparseFixpointMatchesGlobalWorklistOnPaperGrid) {

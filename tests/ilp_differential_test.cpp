@@ -79,7 +79,8 @@ Model random_model(Xorshift& rng, bool integer_vars) {
     const double lower = static_cast<double>(rng.next() % 3);
     const double upper =
         bounded ? lower + static_cast<double>(rng.next() % 20) : kInfinity;
-    vars.push_back(m.add_var("v" + std::to_string(v), lower, upper,
+    vars.push_back(m.add_var(std::string("v").append(std::to_string(v)),
+                             lower, upper,
                              integer_vars && rng.next() % 2 == 0));
   }
   const int nrows = 1 + static_cast<int>(rng.next() % 5);
@@ -234,8 +235,9 @@ TEST(DifferentialIpet, WarmAndColdBranchAndBoundAgree) {
                 1e-6 * std::max(1.0, cold_sol.objective))
         << name;
     // A tree that branched at all must report its warm starts.
-    if (warm_sol.stats.bb_nodes > 1)
+    if (warm_sol.stats.bb_nodes > 1) {
       EXPECT_GT(warm_sol.stats.warm_starts, 0u) << name;
+    }
     EXPECT_EQ(cold_sol.stats.warm_starts, 0u) << name;
   }
 }

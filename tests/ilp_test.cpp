@@ -208,7 +208,8 @@ TEST_P(RandomLpTest, SolutionIsFeasibleAndNotWorseThanOrigin) {
   const int nvars = 3 + seed % 4;
   std::vector<VarId> vars;
   for (int v = 0; v < nvars; ++v)
-    vars.push_back(m.add_var("v" + std::to_string(v), 0, 50, false));
+    vars.push_back(m.add_var(std::string("v").append(std::to_string(v)), 0,
+                             50, false));
   std::vector<std::vector<double>> rows;
   std::vector<double> rhs;
   for (int c = 0; c < 4; ++c) {
@@ -295,8 +296,9 @@ void expect_presolve_exact(const Model& m, const std::vector<Term>& objective,
     const Model::Var& var = m.var(static_cast<VarId>(v));
     EXPECT_GE(x[v], var.lower - 1e-6) << var.name;
     EXPECT_LE(x[v], var.upper + 1e-6) << var.name;
-    if (var.integer)
+    if (var.integer) {
       EXPECT_NEAR(x[v], std::round(x[v]), 1e-6) << var.name;
+    }
     expanded_objective += dense[v] * x[v];
   }
   for (std::size_t r = 0; r < m.constraints().size(); ++r) {

@@ -7,9 +7,14 @@
 //   P4 (prefetch-equivalence): optimization never changes program results.
 //   P5 (domain laws): must/may joins are commutative, idempotent and
 //       monotone w.r.t. updates, over randomized access strings.
+//   P6 (chunked copy-on-write states): AbstractCache agrees with a flat
+//       per-set reference model under random update/join/copy sequences,
+//       copies are isolated, equal content hashes equally, and no-op joins
+//       keep sharing storage.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 
 #include "analysis/cache_analysis.hpp"
@@ -198,6 +203,168 @@ TEST_P(DomainLawTest, MustIsSubsetOfConcreteAlongAnyPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DomainLawTest, ::testing::Range(0, 20));
+
+// ---------------------------------------------------------------------------
+// P6: chunked copy-on-write abstract states against a flat reference model.
+// ---------------------------------------------------------------------------
+
+/// The reference: one plain AbstractSet per cache set, no sharing at all.
+using FlatState = std::vector<analysis::AbstractSet>;
+
+/// FNV-1a over the entry lists in set order: the documented content_hash
+/// key, recomputed from the reference so a storage change cannot move it.
+std::uint64_t flat_hash(const FlatState& sets) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const analysis::AbstractSet& set : sets) {
+    mix(set.size() + 0x9e3779b97f4a7c15ull);
+    for (const analysis::AgedBlock& e : set.entries()) {
+      mix(e.block);
+      mix(e.age);
+    }
+  }
+  return h;
+}
+
+/// Number of sets of `state` that differ from the reference.
+std::size_t sets_differing(const analysis::AbstractCache& state,
+                           const FlatState& ref) {
+  std::size_t bad = 0;
+  for (std::uint32_t s = 0; s < ref.size(); ++s)
+    if (!(state.set_at(s) == ref[s])) ++bad;
+  return bad;
+}
+
+class ChunkedStateTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ChunkedStateTest, MatchesFlatReferenceUnderRandomOps) {
+  const std::uint32_t num_sets = GetParam();
+  const cache::CacheConfig config{2, 16, num_sets * 2 * 16};
+  ASSERT_EQ(config.num_sets(), num_sets);
+  Rng rng(0xC0DEull + num_sets);
+  constexpr std::size_t kStates = 4;
+  std::vector<analysis::AbstractCache> states(kStates,
+                                              analysis::AbstractCache(config));
+  std::vector<FlatState> refs(kStates,
+                              FlatState(num_sets, analysis::AbstractSet(2)));
+  // Mostly a small hot range (joins meet overlapping content), sometimes
+  // any set (writes land in every chunk).
+  const auto pick_block = [&] {
+    const std::uint64_t range =
+        rng.next_bool(0.75) ? 48 : std::uint64_t{num_sets} * 3;
+    return static_cast<cache::MemBlockId>(rng.next_below(range));
+  };
+
+  std::size_t noop_joins = 0, changing_joins = 0;
+  for (int op = 0; op < 600; ++op) {
+    const std::size_t i = rng.next_below(kStates);
+    const std::size_t j = rng.next_below(kStates);
+    const analysis::AbstractCache before = states[i];
+    const FlatState ref_before = refs[i];
+    switch (rng.next_below(6)) {
+      case 0:
+      case 1: {
+        const cache::MemBlockId b = pick_block();
+        states[i].update_must(b);
+        refs[i][b % num_sets].update_must(b);
+        break;
+      }
+      case 2: {
+        const cache::MemBlockId b = pick_block();
+        states[i].update_may(b);
+        refs[i][b % num_sets].update_may(b);
+        break;
+      }
+      case 3:
+      case 4: {
+        const bool must = rng.next_bool(0.5);
+        const bool changed = must ? states[i].join_must_with(states[j])
+                                  : states[i].join_may_with(states[j]);
+        bool ref_changed = false;
+        for (std::uint32_t s = 0; s < num_sets; ++s)
+          ref_changed |= must ? refs[i][s].join_must_with(refs[j][s])
+                              : refs[i][s].join_may_with(refs[j][s]);
+        EXPECT_EQ(changed, ref_changed) << "op " << op;
+        if (changed) {
+          ++changing_joins;
+        } else {
+          // A no-op join must not have cloned anything.
+          ++noop_joins;
+          EXPECT_TRUE(states[i].shares_storage_with(before)) << "op " << op;
+        }
+        break;
+      }
+      default:
+        states[i] = states[j];
+        refs[i] = refs[j];
+        EXPECT_TRUE(states[i].shares_storage_with(states[j]));
+        break;
+    }
+    // Every state, not only the written one, still matches its reference:
+    // a write through one copy never shows through another.
+    for (std::size_t k = 0; k < kStates; ++k)
+      ASSERT_EQ(sets_differing(states[k], refs[k]), 0u)
+          << "state " << k << " after op " << op;
+    // The pre-op copy is a third owner of i's old storage; it is unchanged.
+    ASSERT_EQ(sets_differing(before, ref_before), 0u) << "op " << op;
+
+    // Equality and hashing are functions of content only.
+    for (std::size_t k = 0; k < kStates; ++k) {
+      EXPECT_EQ(states[k].content_hash(), flat_hash(refs[k]));
+      EXPECT_EQ(states[i] == states[k], refs[i] == refs[k]);
+    }
+  }
+  // Vacuity guard: the sequence exercised both join outcomes.
+  EXPECT_GT(noop_joins, 0u);
+  EXPECT_GT(changing_joins, 0u);
+}
+
+TEST_P(ChunkedStateTest, CopiesAreIsolatedAndEqualContentHashesEqually) {
+  const std::uint32_t num_sets = GetParam();
+  const cache::CacheConfig config{2, 16, num_sets * 2 * 16};
+  analysis::AbstractCache a(config);
+  for (cache::MemBlockId b = 0; b < 3 * num_sets; b += 5) a.update_must(b);
+  const std::string a_text = a.to_string();
+
+  // The same writes through two independent copies: equal content, equal
+  // hash, no shared storage, original untouched.
+  analysis::AbstractCache b = a;
+  analysis::AbstractCache c = a;
+  const cache::MemBlockId last = 3 * num_sets - 1;
+  b.update_must(last);
+  c.update_must(last);
+  EXPECT_EQ(a.to_string(), a_text);
+  EXPECT_FALSE(b.shares_storage_with(a));
+  EXPECT_FALSE(b.shares_storage_with(c));
+  EXPECT_EQ(b, c);
+  EXPECT_EQ(b.content_hash(), c.content_hash());
+  EXPECT_TRUE(b.must_contain(last));
+  EXPECT_EQ(a.must_contain(last), a.set_for_block(last).contains(last));
+
+  // No-op joins keep storage shared: with an equal but unshared state, and
+  // a may-join with the empty state.
+  analysis::AbstractCache shared = b;
+  EXPECT_FALSE(b.join_must_with(c));
+  EXPECT_FALSE(b.join_may_with(c));
+  EXPECT_FALSE(b.join_may_with(analysis::AbstractCache(config)));
+  EXPECT_TRUE(b.shares_storage_with(shared));
+
+  // A changing join detaches the writer only.
+  analysis::AbstractCache d(config);
+  d.update_may(last + 1);
+  EXPECT_TRUE(b.join_may_with(d));
+  EXPECT_FALSE(b.shares_storage_with(shared));
+  EXPECT_EQ(shared, c);
+  EXPECT_TRUE(b.may_contain(last + 1));
+  EXPECT_FALSE(shared.may_contain(last + 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(SetCounts, ChunkedStateTest,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u, 32u, 64u,
+                                           128u, 256u, 512u));
 
 // ---------------------------------------------------------------------------
 // Figure-8 style bound: instruction overhead stays small everywhere.

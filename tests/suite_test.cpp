@@ -28,7 +28,7 @@ TEST(Registry, ThirtySevenProgramsWithPaperIds) {
   const auto& all = all_benchmarks();
   ASSERT_EQ(all.size(), 37u);
   for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].id, "p" + std::to_string(i + 1));
+    EXPECT_EQ(all[i].id, std::string("p").append(std::to_string(i + 1)));
     EXPECT_FALSE(all[i].name.empty());
     EXPECT_FALSE(all[i].description.empty());
     EXPECT_NE(all[i].build, nullptr);
